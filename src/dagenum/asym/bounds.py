@@ -31,14 +31,13 @@ window-truncation argument rests on.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .airy import _airy_ai_vec, airy_ai, airy_root_a1
+from .airy import _airy_ai_vec, airy_root_a1
 from .scaled import _exact_rows, weight_u_exact
 
 __all__ = [
@@ -189,22 +188,8 @@ def bound_value(
     _check_side(side)
     if i < 1:
         raise ValueError(f"out-of-range: i={i} is below 1")
-    c1, c2, c3, c4, c5 = _bracket_coeffs(params)
-    jf = float(j)
-    i13 = float(i) ** (1.0 / 3.0)
-    i23 = i13 * i13
-    br = (
-        1.0
-        - c1 * jf / i23
-        - c2 * jf * jf / i
-        + c3 * jf / i
-        + c4 * jf * jf / (i23 * i23)
-        + c5 * jf**3 / (i23 * i23 * i13)
-    )
-    if side == "upper":
-        q = quartic if quartic is not None else _default_quartic
-        br += q(params, i, jf)
-    return br * airy_ai(params.a1 + params.B * (jf + 1.0) / i13)
+    q = quartic if quartic is not None else _default_quartic
+    return float(_x_row(side, params, i, np.array([j]), q, clamp=False)[0])
 
 
 def s_factor(side: str, k: int, i: int) -> float:
@@ -303,7 +288,8 @@ def _scan_block(
     for i in range(lo, hi + 1):
         cnt = _window(i, p_exp)
         cur = _x_row(side, params, i, np.arange(-1, cnt + k + 2), quartic, clamp)
-        assert prev.shape[0] >= cnt + k + 1, "parent row too short"
+        if prev.shape[0] < cnt + k + 1:
+            raise AssertionError("parent row too short")
         jf = np.arange(cnt, dtype=np.float64)
         u = (k - 1) ** 2 * (i - jf + k) / ((k - 1) * i + jf)
         lhs = s_factor(side, k, i) * cur[1 : cnt + 1]
@@ -333,9 +319,8 @@ def verify_bounds(
     range is violation-free (i_min when the whole range is clean); nothing
     is claimed about indices outside the range.
 
-    threads splits the index range into contiguous blocks scanned in
-    parallel; each block recomputes its entry parent row, so the result is
-    identical for any thread count.
+    threads is accepted for compatibility and ignored: the scan runs in
+    the calling thread.
     """
     _check_side(side)
     params = BoundParams(k=k, eta=eta, epsilon=epsilon)
@@ -344,24 +329,7 @@ def verify_bounds(
         raise ValueError(f"i-range: ({i_min}, {i_max}) needs 2 <= i_min <= i_max")
     q = quartic if quartic is not None else _default_quartic
     p_exp = (2.0 / 3.0 - epsilon) if side == "lower" else (1.0 - epsilon)
-    total = i_max - i_min + 1
-    n_jobs = min(max(1, int(threads)) if threads else 1, total)
-    if n_jobs == 1:
-        violations = _scan_block(side, params, p_exp, q, i_min, i_max)
-    else:
-        blocks = []
-        base, extra = divmod(total, n_jobs)
-        lo = i_min
-        for b in range(n_jobs):
-            hi = lo + base - 1 + (1 if b < extra else 0)
-            blocks.append((lo, hi))
-            lo = hi + 1
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = pool.map(
-                lambda blk: _scan_block(side, params, p_exp, q, blk[0], blk[1]),
-                blocks,
-            )
-            violations = [v for part in parts for v in part]
+    violations = _scan_block(side, params, p_exp, q, i_min, i_max)
     i0 = violations[-1][0] + 1 if violations else i_min
     return BoundReport(
         side=side,

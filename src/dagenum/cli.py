@@ -238,10 +238,7 @@ def _verify_p_ineq(args) -> dict:
 
 def _verify_bounds_scope(args, side: str) -> dict:
     eta = args.eta if args.eta is not None else 1.05 * min_eta(args.k)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    report = verify_bounds(
-        side, args.k, eta, args.epsilon, (args.i_min, args.i_max), threads=threads
-    )
+    report = verify_bounds(side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
     i0_limit = args.i0_limit if args.i0_limit is not None else args.i_max
     doc = report.to_dict()
     doc["scope"] = f"bounds-{side}"
@@ -368,10 +365,7 @@ def cmd_asym_ratio(args) -> int:
 
 def cmd_asym_bounds(args) -> int:
     eta = args.eta if args.eta is not None else 1.05 * min_eta(args.k)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    report = verify_bounds(
-        args.side, args.k, eta, args.epsilon, (args.i_min, args.i_max), threads=threads
-    )
+    report = verify_bounds(args.side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
     w = _csv_writer(sys.stdout)
     w.writerow(["side", "k", "eta", "epsilon", "i0", "scanned_i_max", "violations"])
     w.writerow(
@@ -435,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--i0-limit", type=int, default=None,
                           help="fail if the verified threshold exceeds this")
     p_verify.add_argument("--threads", type=int, default=None,
-                          help="bounds scopes: defaults to the core count")
+                          help="accepted and ignored; sweeps run in one thread")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -467,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--epsilon", type=float, default=0.1)
     p_bounds.add_argument("--i-min", type=int, default=2)
     p_bounds.add_argument("--i-max", type=int, default=2000)
-    p_bounds.add_argument("--threads", type=int, default=None)
+    p_bounds.add_argument("--threads", type=int, default=None,
+                          help="accepted and ignored; sweeps run in one thread")
     p_bounds.set_defaults(func=cmd_asym_bounds)
 
     p_profile = asub.add_parser("profile", help="Airy-shape fit of one row")

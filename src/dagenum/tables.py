@@ -19,7 +19,10 @@ The n-th diagonal entry, at (n(k-1), n), counts the structures of size n.
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import log2
 from pathlib import Path
@@ -44,17 +47,23 @@ def _sub_coef(kind: str, m: int) -> int:
 
 @dataclass
 class CountTable:
+    """The wedge up to column n_max, stored as columns[n][m] for
+    0 <= m <= n/(k-1)."""
+
     kind: str
     k: int
-    n_max: int
-    entries: dict[tuple[int, int], int]
+    columns: list[list[int]]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.columns) - 1
 
     def entry(self, n: int, m: int) -> int:
         if not 0 <= n <= self.n_max or m < 0:
             raise ValueError(f"out-of-range: ({n}, {m})")
         if (self.k - 1) * m > n:
             return 0
-        return self.entries[(n, m)]
+        return self.columns[n][m]
 
     def diagonal(self, n: int) -> int:
         return self.entry((self.k - 1) * n, n)
@@ -88,6 +97,41 @@ def _projected_bytes(kind: str, k: int, n_max: int) -> int:
     return total
 
 
+def _columns(
+    kind: str, k: int, start: int, stop: int, tail: list[list[int]]
+) -> Iterator[list[int]]:
+    """Yield the wedge columns start..stop, given the columns before start.
+
+    tail holds the columns max(0, start-k) .. start-1 (fewer than k only
+    when start < k); no older column is ever read.
+    """
+    a = _A_MUL[kind]
+    sub = [_sub_coef(kind, m) for m in range(stop // (k - 1) + 1)]
+    floor = 1 if kind == "relaxed" else 0
+    window = deque(tail, maxlen=k)
+    for n in range(start, stop + 1):
+        m_top = n // (k - 1)
+        # Cells with (k-1)m <= n-1 read column n-1 at m and column n-k at
+        # m-1; both lie inside the wedge exactly then.  The diagonal cell
+        # (k-1)m = n reads neither, apart from the boundary extension.
+        m_in = (n - 1) // (k - 1)
+        col = [1] * (m_top + 1)
+        if m_in > 0:
+            prev, back = window[-1], window[0]
+            for m in range(1, m_in + 1):
+                col[m] = a * col[m - 1] + (m + 1) * prev[m] - sub[m] * back[m - 1]
+        if m_top > max(m_in, 0):
+            # the boundary row of 1s extends to negative n for the m = 1 cell
+            col[m_top] = a * col[m_top - 1] - (sub[1] if m_top == 1 else 0)
+        if min(col) < floor:
+            m = next(m for m, v in enumerate(col) if v < floor)
+            if col[m] < 0:
+                raise AssertionError(f"negative entry at ({n}, {m}) for {kind}, k={k}")
+            raise AssertionError(f"zero relaxed entry inside the wedge at ({n}, {m})")
+        window.append(col)
+        yield col
+
+
 def build_table(
     kind: str, k: int, n_max: int, byte_budget: int = DEFAULT_BYTE_BUDGET
 ) -> CountTable:
@@ -97,9 +141,7 @@ def build_table(
         raise ValueError(
             f"byte-budget: projected table exceeds configured byte budget ({byte_budget})"
         )
-    table = CountTable(kind, k, -1, {})
-    _extend_entries(table, n_max, byte_budget)
-    return table
+    return extend_table(CountTable(kind, k, []), n_max, byte_budget)
 
 
 def extend_table(
@@ -108,52 +150,23 @@ def extend_table(
     """Grow a table in place to a larger n_max; no-op when already big enough."""
     if n_max <= table.n_max:
         return table
-    _extend_entries(table, n_max, byte_budget)
-    return table
-
-
-def _extend_entries(table: CountTable, n_max: int, byte_budget: int):
-    kind, k = table.kind, table.k
-    a = _A_MUL[kind]
-    entries = table.entries
-    used = sum(sys.getsizeof(v) for v in entries.values())
-
-    def read(n: int, m: int) -> int:
-        if n < 0 or (k - 1) * m > n:
-            return 0
-        return entries[(n, m)]
-
-    def read_sub(n: int, m: int) -> int:
-        if m == 0:
-            return 1  # boundary row extends across all n
-        return read(n, m)
-
-    for n in range(table.n_max + 1, n_max + 1):
-        entries[(n, 0)] = 1
-        used += sys.getsizeof(1)
-        for m in range(1, n // (k - 1) + 1):
-            value = (
-                a * read(n, m - 1)
-                + (m + 1) * read(n - 1, m)
-                - _sub_coef(kind, m) * read_sub(n - k, m - 1)
+    columns = table.columns
+    used = sum(sys.getsizeof(v) for col in columns for v in col)
+    for col in _columns(table.kind, table.k, len(columns), n_max, columns[-table.k :]):
+        used += sum(sys.getsizeof(v) for v in col)
+        if used > byte_budget:
+            raise ValueError(
+                f"byte-budget: table exceeded configured byte budget ({byte_budget})"
             )
-            assert value >= 0, f"negative entry at ({n}, {m}) for {kind}, k={k}"
-            if kind == "relaxed":
-                assert value > 0, f"zero relaxed entry inside the wedge at ({n}, {m})"
-            entries[(n, m)] = value
-            used += sys.getsizeof(value)
-            if used > byte_budget:
-                raise ValueError(
-                    f"byte-budget: table exceeded configured byte budget ({byte_budget})"
-                )
-        table.n_max = n
+        columns.append(col)
+    return table
 
 
 def diagonal_sequence(kind: str, k: int, n_max: int, table: CountTable | None = None) -> list[int]:
     """[count(n) for n in 0..n_max], i.e. the wedge diagonal ((k-1)n, n).
 
     With no table given the DP streams over columns keeping only the last
-    k + 1, so large diagonals never hold the full wedge in memory.
+    k, so large diagonals never hold the full wedge in memory.
     """
     _check_args(kind, k, n_max)
     if table is not None:
@@ -165,32 +178,8 @@ def diagonal_sequence(kind: str, k: int, n_max: int, table: CountTable | None = 
         if table.n_max < (k - 1) * n_max:
             raise ValueError(f"out-of-range: table stops at column {table.n_max}")
         return [table.diagonal(n) for n in range(n_max + 1)]
-
-    a = _A_MUL[kind]
-    cols: dict[int, list[int]] = {}
-    diag: list[int] = []
-
-    for n in range(0, (k - 1) * n_max + 1):
-        m_top = n // (k - 1)
-        col = [1] * (m_top + 1)
-        prev = cols.get(n - 1)
-        back = cols.get(n - k)
-        for m in range(1, m_top + 1):
-            left = prev[m] if prev is not None and m < len(prev) else 0
-            if m - 1 == 0:
-                sub = 1
-            elif back is not None and m - 1 < len(back):
-                sub = back[m - 1]
-            else:
-                sub = 0
-            value = a * col[m - 1] + (m + 1) * left - _sub_coef(kind, m) * sub
-            assert value >= 0
-            col[m] = value
-        cols[n] = col
-        cols.pop(n - k, None)
-        if n % (k - 1) == 0:
-            diag.append(col[n // (k - 1)])
-    return diag[: n_max + 1]
+    cols = _columns(kind, k, 0, (k - 1) * n_max, [])
+    return [col[n // (k - 1)] for n, col in enumerate(cols) if n % (k - 1) == 0]
 
 
 _MAGIC = "ctab 1"
@@ -198,18 +187,28 @@ _MAGIC = "ctab 1"
 
 def save_table(table: CountTable, path) -> None:
     """Text format: 5-line header, then one decimal integer per line in
-    row-major wedge order (for m ascending, n from (k-1)m to n_max)."""
-    lines = []
-    for m in range(table.n_max // (table.k - 1) + 1):
-        for n in range((table.k - 1) * m, table.n_max + 1):
-            lines.append(str(table.entries[(n, m)]))
-    body = "".join(line + "\n" for line in lines)
+    wedge-row order: for m ascending, n from (k-1)m to n_max."""
+    columns, k = table.columns, table.k
+    body = "".join(
+        f"{columns[n][m]}\n"
+        for m in range(table.n_max // (k - 1) + 1)
+        for n in range((k - 1) * m, table.n_max + 1)
+    )
     checksum = hashlib.sha256(body.encode("ascii")).hexdigest()
     header = (
         f"{_MAGIC}\nkind {table.kind}\nk {table.k}\n"
         f"n_max {table.n_max}\nchecksum {checksum}\n"
     )
-    Path(path).write_text(header + body, encoding="ascii")
+    # Write beside the target and rename over it, so an interrupted save
+    # leaves the previous cache file whole.
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(header + body, encoding="ascii")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path) -> CountTable:
@@ -239,21 +238,21 @@ def load_table(path) -> CountTable:
     raw = body.splitlines()
     if len(raw) != _wedge_size(k, n_max):
         raise CacheError("cache-corrupt: wrong entry count")
-    entries: dict[tuple[int, int], int] = {}
+    columns: list[list[int]] = [[0] * (n // (k - 1) + 1) for n in range(n_max + 1)]
     idx = 0
     try:
         for m in range(n_max // (k - 1) + 1):
             for n in range((k - 1) * m, n_max + 1):
-                entries[(n, m)] = int(raw[idx])
+                columns[n][m] = int(raw[idx])
                 idx += 1
     except ValueError:
         raise CacheError("cache-corrupt: non-integer entry") from None
-    for n in range(n_max + 1):
-        if entries[(n, 0)] != 1:
+    for col in columns:
+        if col[0] != 1:
             raise CacheError("cache-corrupt: boundary row invariant broken")
-    for value in entries.values():
-        if value < 0:
+    for col in columns:
+        if min(col) < 0:
             raise CacheError("cache-corrupt: negative entry")
-    if kind == "relaxed" and any(v == 0 for v in entries.values()):
+    if kind == "relaxed" and any(min(col) == 0 for col in columns):
         raise CacheError("cache-corrupt: zero relaxed entry inside the wedge")
-    return CountTable(kind, k, n_max, entries)
+    return CountTable(kind, k, columns)

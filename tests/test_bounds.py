@@ -1,4 +1,5 @@
 import math
+import threading
 
 import pytest
 
@@ -128,6 +129,15 @@ def test_verify_bounds_thread_invariance():
     one = verify_bounds("upper", 2, eta, 0.1, (2, 400), threads=1)
     four = verify_bounds("upper", 2, eta, 0.1, (2, 400), threads=4)
     assert one.to_dict() == four.to_dict()
+
+
+def test_verify_bounds_starts_no_threads(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("verify_bounds started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = verify_bounds("lower", 3, 1.05 * min_eta(3), 0.1, (2, 40), threads=8)
+    assert report.first_verified_i0 == 8
 
 
 def test_verify_bounds_quartic_seam():

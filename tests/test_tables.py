@@ -1,6 +1,9 @@
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dagenum import tables
 from dagenum.tables import (
     CacheError,
     CountTable,
@@ -56,11 +59,12 @@ def test_byte_budget_guard():
 
 def test_extend_table():
     table = build_table("compacted", 2, 4)
-    before = dict(table.entries)
+    before = [list(col) for col in table.columns]
     extend_table(table, 8)
     assert table.n_max == 8
-    for key, value in before.items():
-        assert table.entries[key] == value
+    for n, col in enumerate(before):
+        for m, value in enumerate(col):
+            assert table.entry(n, m) == value
     assert table.diagonal(8) == known_row("compacted", 2)[8]
     # shrinking is a no-op
     extend_table(table, 3)
@@ -73,7 +77,58 @@ def test_save_load_round_trip(tmp_path):
     save_table(table, path)
     loaded = load_table(path)
     assert loaded.kind == "dfa" and loaded.k == 3 and loaded.n_max == 10
-    assert loaded.entries == table.entries
+    assert loaded.columns == table.columns
+
+
+# ctab 1 bytes of build_table("dfa", 3, 6): wedge rows m = 0..3 in turn,
+# each for n from 2m to 6.
+_DFA3_GOLDEN = (
+    "ctab 1\nkind dfa\nk 3\nn_max 6\n"
+    "checksum a129b227c8d4fc0e915962f8c16672e2e2e2edda7e5cc934380faddb19828d21\n"
+    "1\n1\n1\n1\n1\n1\n1\n"
+    "1\n3\n7\n15\n31\n"
+    "14\n70\n266\n"
+    "532\n"
+)
+
+
+def test_save_table_golden_bytes(tmp_path):
+    path = tmp_path / "dfa-k3.ctab"
+    save_table(build_table("dfa", 3, 6), path)
+    assert path.read_bytes() == _DFA3_GOLDEN.encode("ascii")
+
+
+def test_interrupted_save_keeps_old_cache(tmp_path, monkeypatch):
+    path = tmp_path / "relaxed-k2.ctab"
+    save_table(build_table("relaxed", 2, 6), path)
+    real_open = io.open
+
+    class TornFile:
+        # writes half of what it is given, then the run is interrupted
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise KeyboardInterrupt
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return TornFile(fh) if "w" in mode else fh
+
+    with monkeypatch.context() as m:
+        m.setattr(io, "open", torn_open)
+        m.setattr("builtins.open", torn_open)
+        with pytest.raises(KeyboardInterrupt):
+            save_table(build_table("relaxed", 2, 12), path)
+    assert load_table(path).n_max == 6
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -99,6 +154,19 @@ def test_load_rejects_corruption(tmp_path):
 
     with pytest.raises(CacheError, match="cache-corrupt"):
         load_table(tmp_path / "missing.ctab")
+
+
+def test_cell_invariants_raise(monkeypatch):
+    # a broken recurrence must be caught on both the streaming and the
+    # table route
+    monkeypatch.setitem(tables._A_MUL, "dfa", -1)
+    with pytest.raises(AssertionError, match="negative entry at"):
+        diagonal_sequence("dfa", 2, 5)
+    with pytest.raises(AssertionError, match="negative entry at"):
+        build_table("dfa", 2, 5)
+    monkeypatch.setitem(tables._A_MUL, "relaxed", 0)
+    with pytest.raises(AssertionError, match=r"zero relaxed entry inside the wedge at \(1, 1\)"):
+        diagonal_sequence("relaxed", 2, 3)
 
 
 def test_cache_mismatch_is_a_cache_error():
