@@ -216,7 +216,8 @@ def airy_root_a1() -> float:
     global _A1_CACHE
     if _A1_CACHE is None:
         lo, hi = -2.4, -2.3
-        assert airy_ai(lo) < 0.0 < airy_ai(hi)
+        if not airy_ai(lo) < 0.0 < airy_ai(hi):
+            raise AssertionError(f"Ai does not change sign on [{lo}, {hi}]")
         while hi - lo > 1e-13:
             mid = 0.5 * (lo + hi)
             if airy_ai(mid) < 0.0:

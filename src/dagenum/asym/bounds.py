@@ -61,6 +61,12 @@ _UNDERFLOW_FLOOR = 1e-290
 # for larger arguments instead of letting the asymptotic series underflow.
 _AI_ZERO_CUTOFF = 115.0
 
+# A sweep block adds rows until it holds this many points, then makes its
+# one Airy call.  The evaluator's cost is mostly per call up to a few
+# thousand points, so blocks remove it; the budget keeps a block's arrays
+# to a few MB however wide the rows get.
+_BLOCK_POINTS = 1 << 16
+
 _SIDES = ("lower", "upper")
 
 
@@ -99,8 +105,10 @@ class BoundParams:
             raise ValueError(f"eta-floor: {self.eta} is not above {floor}")
         if not 0.0 < self.epsilon < 2.0 / 3.0:
             raise ValueError(f"epsilon-range: {self.epsilon} outside (0, 2/3)")
-        assert self.B > 0.0
-        assert -2.4 < self.a1 < -2.3
+        if not self.B > 0.0:
+            raise AssertionError(f"B = {self.B} is not positive")
+        if not -2.4 < self.a1 < -2.3:
+            raise AssertionError(f"a1 = {self.a1} is outside (-2.4, -2.3)")
 
     @property
     def B(self) -> float:
@@ -146,30 +154,43 @@ def _ai_profile(args: np.ndarray) -> np.ndarray:
 def _x_row(
     side: str,
     p: BoundParams,
-    i: int,
-    js: np.ndarray,
+    rows: list[tuple[int, np.ndarray]],
     quartic: QuarticTerm,
     clamp: bool,
-) -> np.ndarray:
-    """Witness values X(i, j) over an integer column vector js."""
-    jf = js.astype(np.float64)
+) -> list[np.ndarray]:
+    """Witness values X(i, j), one array for each (i, js) row, js an integer
+    column vector.
+
+    The brackets are built row by row; the Airy factors of all rows are
+    evaluated in one call.
+    """
     c1, c2, c3, c4, c5 = _bracket_coeffs(p)
-    i13 = float(i) ** (1.0 / 3.0)
-    i23 = i13 * i13
-    br = (
-        1.0
-        - c1 * jf / i23
-        - c2 * jf * jf / i
-        + c3 * jf / i
-        + c4 * jf * jf / (i23 * i23)
-        + c5 * jf**3 / (i23 * i23 * i13)
-    )
-    if side == "upper":
-        br = br + quartic(p, i, jf)
-    vals = br * _ai_profile(p.a1 + p.B * (jf + 1.0) / i13)
-    if clamp:
-        vals = np.maximum(vals, 0.0)
-    return vals
+    brackets, args = [], []
+    for i, js in rows:
+        jf = js.astype(np.float64)
+        i13 = float(i) ** (1.0 / 3.0)
+        i23 = i13 * i13
+        br = (
+            1.0
+            - c1 * jf / i23
+            - c2 * jf * jf / i
+            + c3 * jf / i
+            + c4 * jf * jf / (i23 * i23)
+            + c5 * jf**3 / (i23 * i23 * i13)
+        )
+        if side == "upper":
+            br = br + quartic(p, i, jf)
+        brackets.append(br)
+        args.append(p.a1 + p.B * (jf + 1.0) / i13)
+    ai = _ai_profile(np.concatenate(args))
+    splits = np.cumsum([br.shape[0] for br in brackets])[:-1]
+    out = []
+    for br, a in zip(brackets, np.split(ai, splits)):
+        vals = br * a
+        if clamp:
+            vals = np.maximum(vals, 0.0)
+        out.append(vals)
+    return out
 
 
 def bound_value(
@@ -189,7 +210,7 @@ def bound_value(
     if i < 1:
         raise ValueError(f"out-of-range: i={i} is below 1")
     q = quartic if quartic is not None else _default_quartic
-    return float(_x_row(side, params, i, np.array([j]), q, clamp=False)[0])
+    return float(_x_row(side, params, [(i, np.array([j]))], q, clamp=False)[0][0])
 
 
 def s_factor(side: str, k: int, i: int) -> float:
@@ -245,7 +266,8 @@ class BoundReport:
 
     @property
     def first_verified_i0(self) -> int:
-        assert self.params.i0 is not None
+        if self.params.i0 is None:
+            raise AssertionError("params.i0 is None: no verifier run filled it in")
         return self.params.i0
 
     def to_dict(self) -> dict:
@@ -279,26 +301,40 @@ def _scan_block(
     Row i is evaluated once over j in [-1, window+k+1] and reused as the
     parent of row i+1; the window widens by at most one column per step,
     so the retained row always covers the parent positions j-1 and j+k-1.
+    Rows are built in blocks of consecutive i that share one Airy call; a
+    block stops growing once it holds _BLOCK_POINTS points, which bounds
+    its memory.  A cell's verdict reads only rows i-1 and i, so the block
+    seams do not change it.
     """
     k = params.k
     clamp = side == "lower"
     out: list[tuple[int, int]] = []
-    cnt = _window(lo, p_exp)
-    prev = _x_row(side, params, lo - 1, np.arange(-1, cnt + k + 2), quartic, clamp)
-    for i in range(lo, hi + 1):
-        cnt = _window(i, p_exp)
-        cur = _x_row(side, params, i, np.arange(-1, cnt + k + 2), quartic, clamp)
-        if prev.shape[0] < cnt + k + 1:
-            raise AssertionError("parent row too short")
-        jf = np.arange(cnt, dtype=np.float64)
-        u = (k - 1) ** 2 * (i - jf + k) / ((k - 1) * i + jf)
-        lhs = s_factor(side, k, i) * cur[1 : cnt + 1]
-        rhs = u * prev[0:cnt] + prev[k : cnt + k]
-        bad = (lhs > rhs) if clamp else (lhs < rhs)
-        bad &= np.maximum(np.abs(lhs), np.abs(rhs)) >= _UNDERFLOW_FLOOR
-        if bad.any():
-            out.extend((i, int(j)) for j in np.nonzero(bad)[0])
-        prev = cur
+    prev = None
+    nxt = lo - 1
+    while nxt <= hi:
+        block: list[tuple[int, np.ndarray]] = []
+        points = 0
+        while nxt <= hi and points < _BLOCK_POINTS:
+            js = np.arange(-1, _window(max(nxt, lo), p_exp) + k + 2)
+            block.append((nxt, js))
+            points += js.shape[0]
+            nxt += 1
+        for (i, _), cur in zip(block, _x_row(side, params, block, quartic, clamp)):
+            if i < lo:
+                prev = cur
+                continue
+            cnt = _window(i, p_exp)
+            if prev.shape[0] < cnt + k + 1:
+                raise AssertionError("parent row too short")
+            jf = np.arange(cnt, dtype=np.float64)
+            u = (k - 1) ** 2 * (i - jf + k) / ((k - 1) * i + jf)
+            lhs = s_factor(side, k, i) * cur[1 : cnt + 1]
+            rhs = u * prev[0:cnt] + prev[k : cnt + k]
+            bad = (lhs > rhs) if clamp else (lhs < rhs)
+            bad &= np.maximum(np.abs(lhs), np.abs(rhs)) >= _UNDERFLOW_FLOOR
+            if bad.any():
+                out.extend((i, int(j)) for j in np.nonzero(bad)[0])
+            prev = cur
     return out
 
 
@@ -377,7 +413,8 @@ def p_ratio_check(k: int, n: int) -> dict:
             if v:
                 cur[s] = v
     rows = _exact_rows(k, kn)
-    assert cols[0].get(0, Fraction(0)) == rows[kn][0], "suffix/forward mismatch"
+    if cols[0].get(0, Fraction(0)) != rows[kn][0]:
+        raise AssertionError("suffix/forward mismatch")
     pairs = 0
     first: Optional[tuple] = None
     for r in range(kn + 1):

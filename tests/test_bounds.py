@@ -1,8 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import dagenum
+from dagenum.asym import bounds
 from dagenum.asym.bounds import (
     BoundParams,
     bound_value,
@@ -148,6 +155,77 @@ def test_verify_bounds_quartic_seam():
         quartic=lambda p, i, j: p.eta * j**4 / float(i) ** 2,
     )
     assert default.to_dict() == same.to_dict()
+
+
+@pytest.mark.parametrize("side,k", [("upper", 2), ("lower", 5)])
+def test_verify_bounds_block_invariance(monkeypatch, side, k):
+    eta = 1.05 * min_eta(k)
+    batched = verify_bounds(side, k, eta, 0.1, (2, 600))
+    monkeypatch.setattr(bounds, "_BLOCK_POINTS", 1)  # one row per Airy call
+    per_row = verify_bounds(side, k, eta, 0.1, (2, 600))
+    assert batched.to_dict() == per_row.to_dict()
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_verify_bounds_split_range(side):
+    # a cell's verdict reads rows i-1 and i only, so where a range (and
+    # with it every block) starts cannot change it
+    eta = 1.05 * min_eta(5)
+    whole = verify_bounds(side, 5, eta, 0.1, (2, 400)).violations
+    head = verify_bounds(side, 5, eta, 0.1, (2, 200)).violations
+    tail = verify_bounds(side, 5, eta, 0.1, (201, 400)).violations
+    assert any(i > 200 for i, _ in whole)
+    assert whole == head + tail
+
+
+def test_sweeps_match_fixture_prefix(fixtures_dir):
+    # the acceptance sweeps, cut at i = 1000, against the archived reports
+    archived = json.loads((fixtures_dir / "bound_reports.json").read_text())
+    for k in (2, 3, 4, 5):
+        for side in ("lower", "upper"):
+            report = verify_bounds(side, k, 1.05 * min_eta(k), 0.1, (2, 1000))
+            expected = [
+                tuple(v) for v in archived[f"{side}-k{k}"]["violations"] if v[0] <= 1000
+            ]
+            assert report.violations == expected, f"{side}-k{k}"
+            i0 = expected[-1][0] + 1 if expected else 2
+            assert report.first_verified_i0 == i0, f"{side}-k{k}"
+
+
+def test_sweep_airy_calls_bounded(monkeypatch):
+    sizes = []
+    evaluate = bounds._airy_ai_vec
+
+    def record(xs):
+        sizes.append(xs.size)
+        return evaluate(xs)
+
+    monkeypatch.setattr(bounds, "_airy_ai_vec", record)
+    k, i_max = 2, 2000
+    verify_bounds("upper", k, 1.05 * min_eta(k), 0.1, (2, i_max))
+    widest_row = math.ceil(i_max**0.9) + k + 3
+    rows = i_max  # i = 1 .. i_max
+    assert max(sizes) <= bounds._BLOCK_POINTS + widest_row
+    assert len(sizes) * 50 < rows
+
+
+def test_report_without_i0_raises_under_optimize():
+    code = (
+        "from dagenum.asym.bounds import BoundParams, BoundReport\n"
+        "r = BoundReport('lower', BoundParams(3, eta=1.0, epsilon=0.1), 2, 10, [])\n"
+        "try:\n"
+        "    r.first_verified_i0\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(dagenum.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_verify_bounds_range_guard():
