@@ -4,31 +4,7 @@ oracles, and numerical validation of the stretched-exponential growth of
 the counting sequences (Airy profile fits, two-sided bound sweeps, ratio
 diagnostics)."""
 
-from . import asym, bijection, oracle, paths, tables, trees
-from .asym import (
-    BoundParams,
-    BoundReport,
-    RatioPoint,
-    ScaledTable,
-    airy_ai,
-    airy_ai_prime,
-    airy_root_a1,
-    bound_value,
-    build_scaled_table,
-    drift,
-    exact_transform_diagonal,
-    h_product_log,
-    log_factorial,
-    min_eta,
-    p_ratio_check,
-    predictor_log,
-    profile_check,
-    ratio_diagnostic,
-    s_factor,
-    verify_bounds,
-    verify_transform,
-    weight_u,
-)
+from . import bijection, oracle, paths, tables, trees
 from .bijection import path_to_tree, tree_to_path
 from .oracle import (
     count_compacted_oracle,
@@ -114,3 +90,20 @@ __all__ = [
     "verify_transform",
     "weight_u",
 ]
+
+
+def __getattr__(name: str):
+    # A name in __all__ that the imports above did not bind is `asym` or one
+    # of its names.  They load on first access because `asym` imports numpy,
+    # most of the start-up time of a command that never uses it.
+    if name in __all__:
+        import importlib
+
+        # not `from . import asym`: its fromlist check calls this hook again
+        asym = importlib.import_module(".asym", __name__)
+        return asym if name == "asym" else getattr(asym, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -207,23 +207,7 @@ def _airy_ai_vec(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-_A1_CACHE: float | None = None
-
-
 def airy_root_a1() -> float:
-    """Largest (first negative) zero of Ai, ~ -2.3381, by bisection plus
-    one Newton polish."""
-    global _A1_CACHE
-    if _A1_CACHE is None:
-        lo, hi = -2.4, -2.3
-        if not airy_ai(lo) < 0.0 < airy_ai(hi):
-            raise AssertionError(f"Ai does not change sign on [{lo}, {hi}]")
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            if airy_ai(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        mid = 0.5 * (lo + hi)
-        _A1_CACHE = mid - airy_ai(mid) / airy_ai_prime(mid)
-    return _A1_CACHE
+    """Largest (first negative) zero of Ai, a1 ~ -2.3381: DLMF Table 9.9.1,
+    as its nearest double, -0x1.2b471a873adf9p+1."""
+    return -2.338107410459767

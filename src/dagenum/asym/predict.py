@@ -43,7 +43,8 @@ def log_factorial(n: int) -> float:
 
 def _log_int(x: int) -> float:
     """ln of a positive integer of arbitrary size."""
-    assert x > 0
+    if x <= 0:
+        raise AssertionError(f"ln of a non-positive integer: {x}")
     if x.bit_length() <= 53:
         return math.log(x)
     shift = x.bit_length() - 53

@@ -125,7 +125,8 @@ def build_scaled_table(
             p2 = np.append(cur, 0.0)
         cur = u * p1 + p2
         mx = float(cur.max())
-        assert mx > 0.0, f"row {i} collapsed to zero"
+        if not mx > 0.0:
+            raise AssertionError(f"row {i} collapsed to zero")
         e = math.frexp(mx)[1]
         cur = cur * math.ldexp(1.0, -e)
         scale_log2.append(scale_log2[-1] + e)
@@ -172,7 +173,8 @@ def exact_transform_diagonal(k: int, n_max: int) -> list[int]:
     for n in range(n_max + 1):
         d00 = rows[k * n][0]
         value = Fraction(math.factorial((k - 1) * n), (k - 1) ** (2 * (k - 1) * n)) * d00
-        assert value.denominator == 1, f"non-integral transform value at n={n}"
+        if value.denominator != 1:
+            raise AssertionError(f"non-integral transform value at n={n}")
         out.append(int(value))
     return out
 

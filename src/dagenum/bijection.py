@@ -64,7 +64,10 @@ def path_to_tree(p: DecoratedPath) -> RelaxedTree:
             stack.append(("t", 1))
             next_label = 2
             continue
-        assert len(stack) >= k, "validated path cannot underflow"
+        if len(stack) < k:
+            raise AssertionError(
+                f"validated path cannot underflow: {len(stack)} stack items, k = {k}"
+            )
         children = []
         for tag, value in stack[-k:]:
             children.append(Child(SPINE if tag == "t" else POINTER, value))
@@ -72,5 +75,8 @@ def path_to_tree(p: DecoratedPath) -> RelaxedTree:
         nodes.append(Node(next_label, tuple(children)))
         stack.append(("t", next_label))
         next_label += 1
-    assert stack == [("t", next_label - 1)]
+    if stack != [("t", next_label - 1)]:
+        raise AssertionError(
+            f"path left stack {stack}, not the root subtree {next_label - 1}"
+        )
     return RelaxedTree(k, tuple(nodes))

@@ -17,14 +17,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, paths, trees
-from .asym import (
-    min_eta,
-    p_ratio_check,
-    profile_check,
-    ratio_diagnostic,
-    verify_bounds,
-)
-from .asym.scaled import exact_transform_diagonal
 from .bijection import path_to_tree, tree_to_path
 from .oracle import (
     DEFAULT_TREE_LIMITS,
@@ -43,6 +35,9 @@ from .tables import (
     save_table,
 )
 from .trees import validate_tree
+
+# The asym handlers import `.asym` when they run: it loads numpy, which
+# `count`, `convert` and the oracle and bijection scopes never use.
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -170,6 +165,8 @@ def _verify_bijection(args) -> dict:
 
 
 def _verify_transform(args) -> dict:
+    from .asym.scaled import exact_transform_diagonal
+
     k, n_max = args.k, args.n_max
     via_transform = exact_transform_diagonal(k, n_max)
     direct = diagonal_sequence("relaxed", k, n_max)
@@ -189,6 +186,8 @@ def _verify_transform(args) -> dict:
 
 
 def _verify_ratio(args) -> dict:
+    from .asym import ratio_diagnostic
+
     k, n_max = args.k, args.n_max
     grid = [n for n in (50, 100, 200, 400, 600) if n <= n_max]
     if not grid:
@@ -215,6 +214,8 @@ def _verify_ratio(args) -> dict:
 
 
 def _verify_p_ineq(args) -> dict:
+    from .asym import p_ratio_check
+
     k, n_max = args.k, args.n_max
     results = []
     for n in range(1, n_max + 1):
@@ -237,6 +238,8 @@ def _verify_p_ineq(args) -> dict:
 
 
 def _verify_bounds_scope(args, side: str) -> dict:
+    from .asym import min_eta, verify_bounds
+
     eta = args.eta if args.eta is not None else 1.05 * min_eta(args.k)
     report = verify_bounds(side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
     i0_limit = args.i0_limit if args.i0_limit is not None else args.i_max
@@ -354,6 +357,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_asym_ratio(args) -> int:
+    from .asym import ratio_diagnostic
+
     ns = [int(part) for part in args.ns.split(",") if part.strip()]
     points = ratio_diagnostic(args.kind, args.k, ns, route=args.route)
     w = _csv_writer(sys.stdout)
@@ -364,6 +369,8 @@ def cmd_asym_ratio(args) -> int:
 
 
 def cmd_asym_bounds(args) -> int:
+    from .asym import min_eta, verify_bounds
+
     eta = args.eta if args.eta is not None else 1.05 * min_eta(args.k)
     report = verify_bounds(args.side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
     w = _csv_writer(sys.stdout)
@@ -383,6 +390,8 @@ def cmd_asym_bounds(args) -> int:
 
 
 def cmd_asym_profile(args) -> int:
+    from .asym import profile_check
+
     result = profile_check(args.k, args.i, j_limit=args.j_limit)
     w = _csv_writer(sys.stdout)
     w.writerow(["i", "j", "d_scaled", "airy_fit"])

@@ -72,7 +72,8 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
 
     for completed, created in node_states(0, 1):
         if created == n:
-            assert completed == n + 1
+            if completed != n + 1:
+                raise AssertionError(f"{completed} labels completed, not n + 1 = {n + 1}")
             yield RelaxedTree(k, tuple(sorted(nodes, key=lambda nd: nd.label)))
 
 

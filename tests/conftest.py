@@ -1,8 +1,12 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # one line per acceptance criterion, echoed uncaptured at the end of the run
 ACCEPTANCE_LINES: list[str] = []
@@ -18,6 +22,21 @@ def record_acceptance(number: int, name: str, ok: bool) -> bool:
 @pytest.fixture(scope="session")
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES
+
+
+@pytest.fixture
+def run_python():
+    """Run `python <args>` in a fresh interpreter that imports dagenum from
+    this checkout's src/."""
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        path = [str(SRC), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -69,6 +69,20 @@ def test_first_root():
     assert airy_ai_prime(a1) != 0.0
 
 
+def test_first_root_is_the_nearest_double():
+    a1 = airy_root_a1()
+    assert a1 == float(mpmath.airyaizero(1))
+    assert a1.hex() == "-0x1.2b471a873adf9p+1"
+
+
+def test_ai_changes_sign_across_first_root():
+    # Ai'(a1) ~ 0.70, so one ulp of a1 moves Ai by ~3e-16, well above the
+    # evaluator's error there: the sign flips between the neighbouring doubles
+    a1 = airy_root_a1()
+    assert airy_ai(math.nextafter(a1, -math.inf)) < 0.0
+    assert airy_ai(math.nextafter(a1, math.inf)) > 0.0
+
+
 def test_wronskian_identity():
     # Ai(x) Bi'(x) - Ai'(x) Bi(x) = 1/pi; check our Ai against mpmath's Bi
     for x in (-4.0, -1.0, 0.5, 3.0, 7.0):

@@ -55,6 +55,25 @@ def test_invalid_inputs_rejected():
         path_to_tree(DecoratedPath(2, (up(), up())))
 
 
+def test_stack_underflow_raises_under_optimize(run_python):
+    # validation is bypassed, so only the explicit underflow check can stop
+    # the second U step, which finds one subtree where k = 2 are needed
+    code = (
+        "from dagenum import bijection\n"
+        "from dagenum.paths import DecoratedPath, PathReport, up\n"
+        "bijection.validate_path = lambda p: PathReport(True)\n"
+        "try:\n"
+        "    bijection.path_to_tree(DecoratedPath(2, (up(), up())))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "cannot underflow" in proc.stdout
+
+
 def test_fixture_pair_matches(fixtures_dir):
     t = tree_loads((fixtures_dir / "ternary7_tree.json").read_text())
     p = path_loads((fixtures_dir / "ternary7_path.json").read_text())

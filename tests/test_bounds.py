@@ -1,14 +1,9 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-import dagenum
 from dagenum.asym import bounds
 from dagenum.asym.bounds import (
     BoundParams,
@@ -209,7 +204,7 @@ def test_sweep_airy_calls_bounded(monkeypatch):
     assert len(sizes) * 50 < rows
 
 
-def test_report_without_i0_raises_under_optimize():
+def test_report_without_i0_raises_under_optimize(run_python):
     code = (
         "from dagenum.asym.bounds import BoundParams, BoundReport\n"
         "r = BoundReport('lower', BoundParams(3, eta=1.0, epsilon=0.1), 2, 10, [])\n"
@@ -219,13 +214,8 @@ def test_report_without_i0_raises_under_optimize():
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(dagenum.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_python("-O", "-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_bounds_range_guard():
