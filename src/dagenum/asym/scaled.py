@@ -31,6 +31,7 @@ factor by least squares.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -94,6 +95,18 @@ class ScaledTable:
         return math.log(value) + self.scale_log2[i] * math.log(2.0)
 
 
+def _parent_rows(prev, r: int, zero, join):
+    """The parents d[i-1][j-1] and d[i-1][j+k-1] of every entry of a row of
+    residue r, as two rows aligned with it, given the previous row.
+
+    i mod k >= 1 reads the same t and t+1; i mod k == 0 reads t-1 and t.
+    zero pads the missing parent, and join(a, b) concatenates rows.
+    """
+    if r >= 1:
+        return prev, join(prev[1:], zero)
+    return join(zero, prev), join(prev, zero)
+
+
 _ROW_CEILING = 20000
 
 
@@ -117,12 +130,7 @@ def build_scaled_table(
         size = i // k + 1
         js = np.arange(size) * k + r
         u = (k - 1) ** 2 * (i - js + k) / ((k - 1) * i + js)
-        if r >= 1:
-            p1 = cur
-            p2 = np.append(cur[1:], 0.0)
-        else:
-            p1 = np.append(0.0, cur)
-            p2 = np.append(cur, 0.0)
+        p1, p2 = _parent_rows(cur, r, 0.0, np.append)
         cur = u * p1 + p2
         mx = float(cur.max())
         if not mx > 0.0:
@@ -141,19 +149,10 @@ def _exact_rows(k: int, i_max: int) -> list[list[Fraction]]:
     rows = [[Fraction(1)]]
     for i in range(1, i_max + 1):
         r = i % k
-        size = i // k + 1
-        prev = rows[-1]
-        cur = []
-        for t in range(size):
-            j = r + k * t
-            if r >= 1:
-                p1 = prev[t] if t < len(prev) else Fraction(0)
-                p2 = prev[t + 1] if t + 1 < len(prev) else Fraction(0)
-            else:
-                p1 = prev[t - 1] if t >= 1 else Fraction(0)
-                p2 = prev[t] if t < len(prev) else Fraction(0)
-            cur.append(weight_u_exact(k, i, j) * p1 + p2)
-        rows.append(cur)
+        p1, p2 = _parent_rows(rows[-1], r, [Fraction(0)], operator.add)
+        rows.append(
+            [weight_u_exact(k, i, r + k * t) * a + b for t, (a, b) in enumerate(zip(p1, p2))]
+        )
     return rows
 
 

@@ -25,15 +25,7 @@ from .oracle import (
     enumerate_relaxed,
 )
 from .paths import generate_paths, validate_path
-from .tables import (
-    KINDS,
-    CacheError,
-    build_table,
-    diagonal_sequence,
-    extend_table,
-    load_table,
-    save_table,
-)
+from .tables import KINDS, CacheError, cached_diagonal, diagonal_sequence
 from .trees import validate_tree
 
 # The asym handlers import `.asym` when they run: it loads numpy, which
@@ -71,21 +63,13 @@ def _resolve_cache(flag: str | None) -> Path | None:
 
 
 def cmd_count(args) -> int:
-    col_max = (args.k - 1) * args.n_max
     cache = _resolve_cache(args.cache_dir)
-    table = None
-    if cache is not None:
+    if cache is None:
+        seq = diagonal_sequence(args.kind, args.k, args.n_max)
+    else:
         cache.mkdir(parents=True, exist_ok=True)
         path = cache / f"{args.kind}-k{args.k}.ctab"
-        if path.exists():
-            table = load_table(path)
-            if table.n_max < col_max:
-                extend_table(table, col_max)
-                save_table(table, path)
-        else:
-            table = build_table(args.kind, args.k, col_max)
-            save_table(table, path)
-    seq = diagonal_sequence(args.kind, args.k, args.n_max, table=table)
+        seq = cached_diagonal(args.kind, args.k, args.n_max, path)
     if args.format == "json":
         doc = {"kind": args.kind, "k": args.k, "counts": [[n, c] for n, c in enumerate(seq)]}
         json.dump(doc, sys.stdout, sort_keys=True)
@@ -237,11 +221,16 @@ def _verify_p_ineq(args) -> dict:
     }
 
 
-def _verify_bounds_scope(args, side: str) -> dict:
+def _sweep(args, side: str):
+    """verify_bounds over [i_min, i_max], eta defaulting to 1.05x the floor."""
     from .asym import min_eta, verify_bounds
 
     eta = args.eta if args.eta is not None else 1.05 * min_eta(args.k)
-    report = verify_bounds(side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
+    return verify_bounds(side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
+
+
+def _verify_bounds_scope(args, side: str) -> dict:
+    report = _sweep(args, side)
     i0_limit = args.i0_limit if args.i0_limit is not None else args.i_max
     doc = report.to_dict()
     doc["scope"] = f"bounds-{side}"
@@ -369,10 +358,7 @@ def cmd_asym_ratio(args) -> int:
 
 
 def cmd_asym_bounds(args) -> int:
-    from .asym import min_eta, verify_bounds
-
-    eta = args.eta if args.eta is not None else 1.05 * min_eta(args.k)
-    report = verify_bounds(args.side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
+    report = _sweep(args, args.side)
     w = _csv_writer(sys.stdout)
     w.writerow(["side", "k", "eta", "epsilon", "i0", "scanned_i_max", "violations"])
     w.writerow(

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import sys
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from math import log2
 from pathlib import Path
 
@@ -85,16 +85,36 @@ def _check_args(kind: str, k: int, n_max: int):
         raise ValueError(f"negative-size: {n_max}")
 
 
-def _projected_bytes(kind: str, k: int, n_max: int) -> int:
-    # crude upper bound: column maxima grow by at most a factor
-    # a + m_max + 2 per column, so entry n needs ~n log2(...) bits
-    m_max = n_max // (k - 1)
+def _check_budget(
+    kind: str, k: int, col_max: int, wedge: bool, byte_budget: int = DEFAULT_BYTE_BUDGET
+) -> None:
+    """Refuse, before any work, a DP whose projected footprint exceeds the budget.
+
+    Crude upper bound: column maxima grow by at most a factor a + m_max + 2
+    per column, so a cell of column n needs ~n log2(...) bits.  A CountTable
+    keeps the whole wedge; the streaming route keeps the columns of its
+    window and the diagonal.  Columns are counted largest first or in
+    ascending order, so a hopeless request stops after a few terms.
+    """
+    m_max = col_max // (k - 1)
     growth = log2(_A_MUL[kind] + m_max + 2)
+
+    def column(n: int) -> int:
+        return (n // (k - 1) + 1) * (32 + int(n * growth) // 8)
+
+    if wedge:
+        sizes = map(column, range(col_max + 1))
+    else:
+        window = map(column, range(col_max, max(-1, col_max - k - 1), -1))
+        diagonal = (32 + int((k - 1) * m * growth) // 8 for m in range(m_max + 1))
+        sizes = chain(window, diagonal)
     total = 0
-    for n in range(n_max + 1):
-        rows = min(n // (k - 1), m_max) + 1
-        total += rows * (28 + int(n * growth) // 8 + 4)
-    return total
+    for size in sizes:
+        total += size
+        if total > byte_budget:
+            raise ValueError(
+                f"byte-budget: projected table exceeds configured byte budget ({byte_budget})"
+            )
 
 
 def _columns(
@@ -137,10 +157,6 @@ def build_table(
 ) -> CountTable:
     """Fill the whole wedge up to column n_max, guarding the memory footprint."""
     _check_args(kind, k, n_max)
-    if _projected_bytes(kind, k, n_max) > byte_budget:
-        raise ValueError(
-            f"byte-budget: projected table exceeds configured byte budget ({byte_budget})"
-        )
     return extend_table(CountTable(kind, k, []), n_max, byte_budget)
 
 
@@ -150,16 +166,29 @@ def extend_table(
     """Grow a table in place to a larger n_max; no-op when already big enough."""
     if n_max <= table.n_max:
         return table
+    _check_budget(table.kind, table.k, n_max, wedge=True, byte_budget=byte_budget)
     columns = table.columns
-    used = sum(sys.getsizeof(v) for col in columns for v in col)
-    for col in _columns(table.kind, table.k, len(columns), n_max, columns[-table.k :]):
-        used += sum(sys.getsizeof(v) for v in col)
-        if used > byte_budget:
-            raise ValueError(
-                f"byte-budget: table exceeded configured byte budget ({byte_budget})"
-            )
-        columns.append(col)
+    columns.extend(_columns(table.kind, table.k, len(columns), n_max, columns[-table.k :]))
     return table
+
+
+def _extend_diagonal(
+    kind: str, k: int, diagonal: list[int], tail: list[list[int]], n_max: int
+) -> list[list[int]]:
+    """Append the diagonal entries len(diagonal)..n_max to diagonal and
+    return the new tail.
+
+    tail holds the columns max(0, c-k+1)..c, c = (k-1)(len(diagonal)-1),
+    the k columns the DP resumes from; the new tail is the last k columns
+    up to (k-1)n_max.
+    """
+    start = (k - 1) * (len(diagonal) - 1) + 1 if diagonal else 0
+    window = deque(tail, maxlen=k)
+    for n, col in enumerate(_columns(kind, k, start, (k - 1) * n_max, tail), start):
+        window.append(col)
+        if n % (k - 1) == 0:
+            diagonal.append(col[n // (k - 1)])
+    return list(window)
 
 
 def diagonal_sequence(kind: str, k: int, n_max: int, table: CountTable | None = None) -> list[int]:
@@ -170,35 +199,34 @@ def diagonal_sequence(kind: str, k: int, n_max: int, table: CountTable | None = 
     """
     _check_args(kind, k, n_max)
     if table is not None:
-        if table.kind != kind or table.k != k:
-            raise CacheError(
-                f"cache-mismatch: table is ({table.kind}, k={table.k}), "
-                f"requested ({kind}, k={k})"
-            )
+        _check_match(table.kind, table.k, kind, k)
         if table.n_max < (k - 1) * n_max:
             raise ValueError(f"out-of-range: table stops at column {table.n_max}")
         return [table.diagonal(n) for n in range(n_max + 1)]
-    cols = _columns(kind, k, 0, (k - 1) * n_max, [])
-    return [col[n // (k - 1)] for n, col in enumerate(cols) if n % (k - 1) == 0]
+    _check_budget(kind, k, (k - 1) * n_max, wedge=False)
+    diagonal: list[int] = []
+    _extend_diagonal(kind, k, diagonal, [], n_max)
+    return diagonal
 
 
+def _check_match(found_kind: str, found_k: int, kind: str, k: int) -> None:
+    if (found_kind, found_k) != (kind, k):
+        raise CacheError(
+            f"cache-mismatch: table is ({found_kind}, k={found_k}), "
+            f"requested ({kind}, k={k})"
+        )
+
+
+# ctab 1 holds the whole wedge (save_table/load_table); ctab 2, the CLI's
+# cache, holds the diagonal and the last k columns.  Both share the header,
+# the checksum and the atomic write.
 _MAGIC = "ctab 1"
+_MAGIC_2 = "ctab 2"
 
 
-def save_table(table: CountTable, path) -> None:
-    """Text format: 5-line header, then one decimal integer per line in
-    wedge-row order: for m ascending, n from (k-1)m to n_max."""
-    columns, k = table.columns, table.k
-    body = "".join(
-        f"{columns[n][m]}\n"
-        for m in range(table.n_max // (k - 1) + 1)
-        for n in range((k - 1) * m, table.n_max + 1)
-    )
+def _write_ctab(path, magic: str, kind: str, k: int, n_max: int, body: str) -> None:
     checksum = hashlib.sha256(body.encode("ascii")).hexdigest()
-    header = (
-        f"{_MAGIC}\nkind {table.kind}\nk {table.k}\n"
-        f"n_max {table.n_max}\nchecksum {checksum}\n"
-    )
+    header = f"{magic}\nkind {kind}\nk {k}\nn_max {n_max}\nchecksum {checksum}\n"
     # Write beside the target and rename over it, so an interrupted save
     # leaves the previous cache file whole.
     path = Path(path)
@@ -211,7 +239,9 @@ def save_table(table: CountTable, path) -> None:
         raise
 
 
-def load_table(path) -> CountTable:
+def _read_ctab(path) -> tuple[str, str, int, int, list[str]]:
+    """Magic, kind, k, n_max and body lines of a .ctab file of either
+    layout, once its header parses and its checksum matches."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except (OSError, UnicodeDecodeError) as exc:
@@ -223,7 +253,7 @@ def load_table(path) -> CountTable:
     if not nl:
         raise CacheError("cache-corrupt: truncated header")
     head_lines = head.splitlines()
-    if len(head_lines) != 4 or head_lines[0] != _MAGIC:
+    if len(head_lines) != 4 or head_lines[0] not in (_MAGIC, _MAGIC_2):
         raise CacheError("cache-corrupt: bad header")
     try:
         kind = head_lines[1].removeprefix("kind ").strip()
@@ -235,7 +265,33 @@ def load_table(path) -> CountTable:
         raise CacheError("cache-corrupt: malformed header fields")
     if hashlib.sha256(body.encode("ascii")).hexdigest() != checksum:
         raise CacheError("cache-corrupt: checksum mismatch")
-    raw = body.splitlines()
+    return head_lines[0], kind, k, n_max, body.splitlines()
+
+
+def _check_cells(kind: str, columns: list[list[int]]) -> None:
+    for col in columns:
+        if col[0] != 1:
+            raise CacheError("cache-corrupt: boundary row invariant broken")
+    for col in columns:
+        if min(col) < 0:
+            raise CacheError("cache-corrupt: negative entry")
+    if kind == "relaxed" and any(min(col) == 0 for col in columns):
+        raise CacheError("cache-corrupt: zero relaxed entry inside the wedge")
+
+
+def save_table(table: CountTable, path) -> None:
+    """ctab 1: 5-line header, then one decimal integer per line in
+    wedge-row order: for m ascending, n from (k-1)m to n_max."""
+    columns, k = table.columns, table.k
+    body = "".join(
+        f"{columns[n][m]}\n"
+        for m in range(table.n_max // (k - 1) + 1)
+        for n in range((k - 1) * m, table.n_max + 1)
+    )
+    _write_ctab(path, _MAGIC, table.kind, k, table.n_max, body)
+
+
+def _wedge_from_lines(kind: str, k: int, n_max: int, raw: list[str]) -> CountTable:
     if len(raw) != _wedge_size(k, n_max):
         raise CacheError("cache-corrupt: wrong entry count")
     columns: list[list[int]] = [[0] * (n // (k - 1) + 1) for n in range(n_max + 1)]
@@ -247,12 +303,68 @@ def load_table(path) -> CountTable:
                 idx += 1
     except ValueError:
         raise CacheError("cache-corrupt: non-integer entry") from None
-    for col in columns:
-        if col[0] != 1:
-            raise CacheError("cache-corrupt: boundary row invariant broken")
-    for col in columns:
-        if min(col) < 0:
-            raise CacheError("cache-corrupt: negative entry")
-    if kind == "relaxed" and any(min(col) == 0 for col in columns):
-        raise CacheError("cache-corrupt: zero relaxed entry inside the wedge")
+    _check_cells(kind, columns)
     return CountTable(kind, k, columns)
+
+
+def load_table(path) -> CountTable:
+    magic, kind, k, n_max, raw = _read_ctab(path)
+    if magic != _MAGIC:
+        raise CacheError(f"cache-version: a {magic} file holds no wedge")
+    return _wedge_from_lines(kind, k, n_max, raw)
+
+
+def _tail_columns(k: int, n_max: int) -> range:
+    c = (k - 1) * n_max
+    return range(max(0, c - k + 1), c + 1)
+
+
+def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
+    """Magic, kind, k, diagonal and tail of a cache file; a ctab 1 wedge is
+    cut down to its diagonal and last k columns."""
+    magic, kind, k, n_max, raw = _read_ctab(path)
+    if magic == _MAGIC:
+        columns = _wedge_from_lines(kind, k, n_max, raw).columns
+        n_max //= k - 1
+        diagonal = [columns[(k - 1) * n][n] for n in range(n_max + 1)]
+        return magic, kind, k, diagonal, [columns[n] for n in _tail_columns(k, n_max)]
+    cols = _tail_columns(k, n_max)
+    if len(raw) != n_max + 1 + len(cols):
+        raise CacheError("cache-corrupt: wrong entry count")
+    try:
+        diagonal = [int(v) for v in raw[: n_max + 1]]
+        tail = [[int(v) for v in line.split(" ")] for line in raw[n_max + 1 :]]
+    except ValueError:
+        raise CacheError("cache-corrupt: non-integer entry") from None
+    if any(len(col) != n // (k - 1) + 1 for n, col in zip(cols, tail)):
+        raise CacheError("cache-corrupt: wrong tail-column length")
+    # the diagonal starts at count(0) = 1, as every column starts at m = 0
+    _check_cells(kind, [diagonal, *tail])
+    if tail[-1][-1] != diagonal[-1]:
+        raise CacheError("cache-corrupt: diagonal and last column disagree")
+    return magic, kind, k, diagonal, tail
+
+
+def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
+    """diagonal_sequence(kind, k, n_max) through the cache file at path.
+
+    The file (ctab 2) holds count(0..N) and the columns max(0, c-k+1)..c,
+    c = (k-1)N.  When N >= n_max it is only read; otherwise the DP resumes
+    from those columns, and the longer diagonal is saved.  A missing file
+    is built from column 0; a ctab 1 file is read once and rewritten as
+    ctab 2.
+    """
+    path = Path(path)
+    magic, diagonal, tail = None, [], []
+    if path.exists():
+        magic, found_kind, found_k, diagonal, tail = _load_diagonal(path)
+    _check_args(kind, k, n_max)
+    if magic is not None:
+        _check_match(found_kind, found_k, kind, k)
+    if n_max >= len(diagonal) or magic != _MAGIC_2:
+        _check_budget(kind, k, (k - 1) * n_max, wedge=False)
+        tail = _extend_diagonal(kind, k, diagonal, tail, n_max)
+        body = "".join(f"{v}\n" for v in diagonal)
+        body += "".join(" ".join(map(str, col)) + "\n" for col in tail)
+        _write_ctab(path, _MAGIC_2, kind, k, len(diagonal) - 1, body)
+    return diagonal[: n_max + 1]

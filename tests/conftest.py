@@ -29,11 +29,11 @@ def run_python():
     """Run `python <args>` in a fresh interpreter that imports dagenum from
     this checkout's src/."""
 
-    def run(*args: str) -> subprocess.CompletedProcess:
+    def run(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
         path = [str(SRC), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         return subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
         )
 
     return run

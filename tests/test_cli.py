@@ -1,9 +1,13 @@
+import hashlib
 import io
 import json
+import sys
+import time
 
 import pytest
 
 from dagenum.cli import CACHE_ENV, main
+from dagenum.tables import build_table, save_table
 
 
 def run(capsys, argv):
@@ -82,6 +86,122 @@ def test_count_corrupt_cache_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert err.startswith("cache error:")
+
+
+def _count(kind, k, n_max, *extra):
+    return ["count", "--kind", kind, "--k", str(k), "--n-max", str(n_max), *extra]
+
+
+@pytest.mark.parametrize("kind", ["relaxed", "compacted", "dfa"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_cached_count_equals_uncached(capsys, tmp_path, kind, k):
+    cache = ["--cache-dir", str(tmp_path)]
+    # cold at n_max = 0 (a one-column tail), extensions, then warm reads
+    for n_max, fmt in ((0, "plain"), (1, "csv"), (5, "json"), (3, "plain"), (5, "csv"), (5, "plain")):
+        expected = run(capsys, _count(kind, k, n_max, "--format", fmt))
+        assert run(capsys, _count(kind, k, n_max, "--format", fmt, *cache)) == expected
+        assert expected[0] == 0
+    assert (tmp_path / f"{kind}-k{k}.ctab").read_text().startswith("ctab 2\n")
+
+
+def _rewrite_body(path, edit):
+    """Apply edit to the body lines of a cache file and re-sign it, so that
+    only the structural checks can catch the change."""
+    lines = path.read_text().splitlines()
+    body = "".join(f"{line}\n" for line in edit(lines[5:]))
+    lines[4] = "checksum " + hashlib.sha256(body.encode("ascii")).hexdigest()
+    path.write_text("\n".join(lines[:5]) + "\n" + body)
+
+
+_CACHE_DAMAGE = {
+    "edited-digit": lambda text: text[:-2] + ("1" if text[-2] != "1" else "2") + "\n",
+    "truncated-body": lambda text: text[: len(text) * 2 // 3],
+    "ctab-9": lambda text: text.replace("ctab 2", "ctab 9", 1),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_CACHE_DAMAGE))
+def test_count_damaged_cache_exits_3(capsys, tmp_path, damage):
+    argv = _count("relaxed", 2, 6, "--cache-dir", str(tmp_path))
+    assert run(capsys, argv)[0] == 0
+    path = tmp_path / "relaxed-k2.ctab"
+    path.write_text(_CACHE_DAMAGE[damage](path.read_text()))
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("cache error: cache-corrupt")
+
+
+def test_count_wrong_tail_column_length_exits_3(capsys, tmp_path):
+    argv = _count("dfa", 3, 4, "--cache-dir", str(tmp_path))
+    assert run(capsys, argv)[0] == 0
+    _rewrite_body(tmp_path / "dfa-k3.ctab", lambda lines: lines[:-2] + [lines[-2] + " 5", lines[-1]])
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert err == "cache error: cache-corrupt: wrong tail-column length\n"
+
+
+@pytest.mark.parametrize("request_kind,request_k", [("compacted", 2), ("relaxed", 3)])
+def test_count_mismatched_cache_exits_3(capsys, tmp_path, request_kind, request_k):
+    assert run(capsys, _count("relaxed", 2, 4, "--cache-dir", str(tmp_path)))[0] == 0
+    (tmp_path / "relaxed-k2.ctab").rename(tmp_path / f"{request_kind}-k{request_k}.ctab")
+    code, out, err = run(capsys, _count(request_kind, request_k, 2, "--cache-dir", str(tmp_path)))
+    assert code == 3 and out == ""
+    assert err == (
+        "cache error: cache-mismatch: table is (relaxed, k=2), "
+        f"requested ({request_kind}, k={request_k})\n"
+    )
+
+
+def test_count_migrates_ctab_1_cache(capsys, tmp_path):
+    path = tmp_path / "dfa-k2.ctab"
+    save_table(build_table("dfa", 2, 8), path)
+    expected = run(capsys, _count("dfa", 2, 5, "--format", "json"))
+    assert run(capsys, _count("dfa", 2, 5, "--format", "json", "--cache-dir", str(tmp_path))) == expected
+    assert path.read_text().startswith("ctab 2\n")
+    # the migrated file serves the rest of the old wedge's diagonal
+    assert run(capsys, _count("dfa", 2, 8, "--cache-dir", str(tmp_path))) == run(
+        capsys, _count("dfa", 2, 8)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _count("relaxed", 2, 1_000_000),
+        _count("relaxed", 2, 1_000_000, "--cache-dir", "{tmp}"),
+        ["asym", "ratio", "--k", "2", "--ns", "1000000", "--route", "exact"],
+    ],
+    ids=["count", "count-cached", "asym-ratio-exact"],
+)
+def test_oversized_requests_exit_2_at_once(run_python, tmp_path, argv):
+    # a fresh process, as a user runs it; the timeout ends a run that
+    # starts computing instead of refusing
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    started = time.perf_counter()
+    proc = run_python("-m", "dagenum.cli", *argv, timeout=10)
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: byte-budget")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_warm_count_stays_small(capsys, run_python, tmp_path):
+    argv = _count("relaxed", 2, 600, "--cache-dir", str(tmp_path))
+    assert run(capsys, argv)[0] == 0
+    # VmHWM, not ru_maxrss: a child started by vfork inherits the parent's
+    # ru_maxrss, while VmHWM belongs to the child's own address space
+    script = (
+        "import contextlib, io\n"
+        "from dagenum.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, hwm.split()[1])\n"
+    )
+    proc = run_python("-c", script)
+    code, max_rss_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert max_rss_kb < 50 * 1024
 
 
 def test_count_bad_arity_exits_2(capsys):

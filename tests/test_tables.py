@@ -1,3 +1,4 @@
+import contextlib
 import io
 
 import pytest
@@ -9,6 +10,7 @@ from dagenum.tables import (
     CountTable,
     KINDS,
     build_table,
+    cached_diagonal,
     diagonal_sequence,
     extend_table,
     load_table,
@@ -98,13 +100,13 @@ def test_save_table_golden_bytes(tmp_path):
     assert path.read_bytes() == _DFA3_GOLDEN.encode("ascii")
 
 
-def test_interrupted_save_keeps_old_cache(tmp_path, monkeypatch):
-    path = tmp_path / "relaxed-k2.ctab"
-    save_table(build_table("relaxed", 2, 6), path)
+@pytest.fixture
+def torn_writes(monkeypatch):
+    """Within the returned context, every file opened for writing gets half
+    of what it is given, and then the run is interrupted."""
     real_open = io.open
 
     class TornFile:
-        # writes half of what it is given, then the run is interrupted
         def __init__(self, fh):
             self.fh = fh
 
@@ -122,13 +124,110 @@ def test_interrupted_save_keeps_old_cache(tmp_path, monkeypatch):
         fh = real_open(file, mode, *args, **kwargs)
         return TornFile(fh) if "w" in mode else fh
 
-    with monkeypatch.context() as m:
-        m.setattr(io, "open", torn_open)
-        m.setattr("builtins.open", torn_open)
+    @contextlib.contextmanager
+    def torn():
+        with monkeypatch.context() as m:
+            m.setattr(io, "open", torn_open)
+            m.setattr("builtins.open", torn_open)
+            yield
+
+    return torn
+
+
+def test_interrupted_save_keeps_old_cache(tmp_path, torn_writes):
+    path = tmp_path / "relaxed-k2.ctab"
+    save_table(build_table("relaxed", 2, 6), path)
+    with torn_writes():
         with pytest.raises(KeyboardInterrupt):
             save_table(build_table("relaxed", 2, 12), path)
     assert load_table(path).n_max == 6
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_byte_budget_is_checked_before_any_column():
+    table = build_table("relaxed", 2, 6)
+    before = [list(col) for col in table.columns]
+    with pytest.raises(ValueError, match="byte-budget"):
+        extend_table(table, 3000, byte_budget=10_000)
+    assert table.columns == before
+
+
+def test_streaming_route_has_a_byte_budget(tmp_path):
+    # the streaming projection keeps a window of columns and the diagonal,
+    # so sizes the wedge could never hold still run; absurd ones stop at once
+    with pytest.raises(ValueError, match="byte-budget"):
+        build_table("relaxed", 2, 2000)
+    assert len(diagonal_sequence("relaxed", 2, 1000)) == 1001
+    with pytest.raises(ValueError, match="byte-budget"):
+        diagonal_sequence("relaxed", 2, 10**6)
+    with pytest.raises(ValueError, match="byte-budget"):
+        cached_diagonal("dfa", 5, 10**6, tmp_path / "dfa-k5.ctab")
+    assert not list(tmp_path.iterdir())
+
+
+# ctab 2 bytes of count(0..3) for dfa, k = 3: the diagonal, then the
+# columns 4..6, one per line.
+_DFA3_GOLDEN_2 = (
+    "ctab 2\nkind dfa\nk 3\nn_max 3\n"
+    "checksum 23481fd29c4c6db69e96455b932f8fa31cc751b0827fbf29d6ffb03f328ca827\n"
+    "1\n1\n14\n532\n"
+    "1 7 14\n"
+    "1 15 70\n"
+    "1 31 266 532\n"
+)
+
+
+def test_cached_diagonal_golden_bytes(tmp_path):
+    path = tmp_path / "dfa-k3.ctab"
+    assert cached_diagonal("dfa", 3, 3, path) == [1, 1, 14, 532]
+    assert path.read_bytes() == _DFA3_GOLDEN_2.encode("ascii")
+    wedge = build_table("dfa", 3, 6)
+    tail = [line.split() for line in _DFA3_GOLDEN_2.splitlines()[-3:]]
+    assert tail == [[str(v) for v in wedge.columns[n]] for n in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_cached_diagonal_resumes_from_its_tail(tmp_path, kind, k):
+    path = tmp_path / f"{kind}-k{k}.ctab"
+    full = diagonal_sequence(kind, k, 9)
+    for n_max in (0, 1, 4, 2, 9, 9):
+        assert cached_diagonal(kind, k, n_max, path) == full[: n_max + 1]
+    # the file reloads as the diagonal and the last k columns of the wedge
+    magic, _, _, diagonal, tail = tables._load_diagonal(path)
+    wedge = build_table(kind, k, 9 * (k - 1))
+    assert magic == "ctab 2" and diagonal == full
+    assert tail == wedge.columns[-k:]
+
+
+def test_interrupted_cache_save_keeps_old_file(tmp_path, torn_writes):
+    path = tmp_path / "relaxed-k2.ctab"
+    cached_diagonal("relaxed", 2, 6, path)
+    stamp = path.read_bytes()
+    with torn_writes():
+        with pytest.raises(KeyboardInterrupt):
+            cached_diagonal("relaxed", 2, 12, path)
+    assert path.read_bytes() == stamp
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_ctab_1_is_migrated_to_ctab_2(tmp_path):
+    path = tmp_path / "compacted-k3.ctab"
+    save_table(build_table("compacted", 3, 11), path)
+    assert cached_diagonal("compacted", 3, 4, path) == diagonal_sequence("compacted", 3, 4)
+    magic, kind, k, diagonal, tail = tables._load_diagonal(path)
+    assert (magic, kind, k) == ("ctab 2", "compacted", 3)
+    # column 11 has no diagonal entry; the file keeps count(0..5) and
+    # columns 8..10
+    assert diagonal == diagonal_sequence("compacted", 3, 5)
+    assert tail == build_table("compacted", 3, 10).columns[8:]
+
+
+def test_load_table_refuses_ctab_2(tmp_path):
+    path = tmp_path / "relaxed-k2.ctab"
+    cached_diagonal("relaxed", 2, 3, path)
+    with pytest.raises(CacheError, match="cache-version"):
+        load_table(path)
 
 
 def test_load_rejects_corruption(tmp_path):
