@@ -15,36 +15,23 @@ the vertex after a U step is precisely "at least k items available".
 
 from __future__ import annotations
 
-from .paths import DecoratedPath, Step, horiz, up, validate_path
-from .trees import Child, Node, POINTER, RelaxedTree, SPINE, validate_tree
+from functools import lru_cache
+
+from .paths import DecoratedPath, horiz, up, validate_path
+from .trees import Child, Node, POINTER, RelaxedTree, SPINE, _walk
+
+# Edges are immutable, so trees can share them; a cache hit costs a third
+# of building the NamedTuple.
+_edge = lru_cache(maxsize=1024, typed=True)(Child)
 
 
 def tree_to_path(t: RelaxedTree) -> DecoratedPath:
-    report = validate_tree(t)
-    if not report.ok:
-        raise ValueError(f"invalid-tree: {report.first_code()}")
-    if t.n == 0:
-        return DecoratedPath(t.k, (up(),))
-    node_map = t.node_map()
-    steps: list[Step] = []
-    # iterative postorder so deep spine chains cannot hit the recursion limit
-    stack: list[list] = [[t.root_label, 0]]
-    while stack:
-        frame = stack[-1]
-        node = node_map[frame[0]]
-        if frame[1] == len(node.children):
-            steps.append(up())
-            stack.pop()
-            continue
-        child = node.children[frame[1]]
-        frame[1] += 1
-        if child.kind == POINTER:
-            steps.append(horiz(child.target))
-        elif child.target == 1:
-            steps.append(up())
-        else:
-            stack.append([child.target, 0])
-    return DecoratedPath(t.k, tuple(steps))
+    violations, trace = _walk(t)
+    if violations:
+        raise ValueError(f"invalid-tree: {violations[0].code}")
+    # trace entry 0 is a U step, c > 0 an H step crossing c
+    steps = [up(), *map(horiz, range(1, t.n + 1))]
+    return DecoratedPath(t.k, tuple(map(steps.__getitem__, trace)))
 
 
 def path_to_tree(p: DecoratedPath) -> RelaxedTree:
@@ -52,30 +39,24 @@ def path_to_tree(p: DecoratedPath) -> RelaxedTree:
     if not report.ok:
         raise ValueError(f"invalid-path: {report.code} at step {report.index}")
     k = p.k
-    # stack items: ("t", label) completed subtree, ("p", cross) pending pointer
-    stack: list[tuple[str, int]] = []
+    # completed subtrees as spine edges, pending crosses as pointer edges
+    stack: list[Child] = []
     nodes: list[Node] = []
     next_label = 1
-    for step in p.steps:
-        if step.kind == "H":
-            stack.append(("p", step.cross))
+    for kind, cross in p.steps:
+        if kind == "H":
+            stack.append(_edge(POINTER, cross))
             continue
-        if next_label == 1:
-            stack.append(("t", 1))
-            next_label = 2
-            continue
-        if len(stack) < k:
-            raise AssertionError(
-                f"validated path cannot underflow: {len(stack)} stack items, k = {k}"
-            )
-        children = []
-        for tag, value in stack[-k:]:
-            children.append(Child(SPINE if tag == "t" else POINTER, value))
-        del stack[-k:]
-        nodes.append(Node(next_label, tuple(children)))
-        stack.append(("t", next_label))
+        if next_label > 1:
+            if len(stack) < k:
+                raise AssertionError(
+                    f"validated path cannot underflow: {len(stack)} stack items, k = {k}"
+                )
+            nodes.append(Node(next_label, tuple(stack[-k:])))
+            del stack[-k:]
+        stack.append(_edge(SPINE, next_label))
         next_label += 1
-    if stack != [("t", next_label - 1)]:
+    if stack != [Child(SPINE, next_label - 1)]:
         raise AssertionError(
             f"path left stack {stack}, not the root subtree {next_label - 1}"
         )

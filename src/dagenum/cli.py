@@ -18,15 +18,10 @@ from pathlib import Path
 
 from . import __version__, paths, trees
 from .bijection import path_to_tree, tree_to_path
-from .oracle import (
-    DEFAULT_TREE_LIMITS,
-    count_compacted_oracle,
-    count_relaxed_oracle,
-    enumerate_relaxed,
-)
+from .oracle import DEFAULT_TREE_LIMITS, enumerate_relaxed
 from .paths import generate_paths, validate_path
-from .tables import KINDS, CacheError, cached_diagonal, diagonal_sequence
-from .trees import validate_tree
+from .tables import KINDS, MAX_COUNT_DIGITS, CacheError, cached_diagonal, diagonal_sequence
+from .trees import is_compacted, validate_tree
 
 # The asym handlers import `.asym` when they run: it loads numpy, which
 # `count`, `convert` and the oracle and bijection scopes never use.
@@ -37,16 +32,6 @@ EXIT_USAGE = 2
 EXIT_CACHE = 3
 
 CACHE_ENV = "DAGENUM_CACHE_DIR"
-
-VERIFY_SCOPES = (
-    "oracle",
-    "bijection",
-    "bounds-lower",
-    "bounds-upper",
-    "ratio",
-    "p-ineq",
-    "transform",
-)
 
 ROUTE_TOLERANCE = 1e-6
 
@@ -83,26 +68,16 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _default_n_max(scope: str, k: int) -> int:
-    if scope in ("oracle", "bijection"):
-        return DEFAULT_TREE_LIMITS.get(k, 2)
-    if scope == "transform":
-        return 30 // k
-    if scope == "p-ineq":
-        return 60 // k
-    if scope == "ratio":
-        return 600
-    return 0
-
-
 def _verify_oracle(args) -> dict:
     k, n_max = args.k, args.n_max
     rel = diagonal_sequence("relaxed", k, n_max)
     comp = diagonal_sequence("compacted", k, n_max)
     results = []
     for n in range(1, n_max + 1):
-        r_count = count_relaxed_oracle(k, n, limit=n_max)
-        c_count = count_compacted_oracle(k, n, limit=n_max)
+        r_count = c_count = 0
+        for t in enumerate_relaxed(k, n, limit=n_max):
+            r_count += 1
+            c_count += is_compacted(t)
         results.append(
             {
                 "n": n,
@@ -129,7 +104,11 @@ def _verify_bijection(args) -> dict:
     for n in range(n_max + 1):
         for t in enumerate_relaxed(k, n, limit=n_max):
             p = tree_to_path(t)
-            if not validate_path(p).ok or path_to_tree(p) != t:
+            try:
+                ok = path_to_tree(p) == t
+            except ValueError:  # p is not a valid path
+                ok = False
+            if not ok:
                 failures.append({"n": n, "tree": trees.to_document(t)})
             tree_trips += 1
         for p in generate_paths(k, n, limit=n_max):
@@ -297,21 +276,23 @@ def _render_verify(report: dict) -> list[str]:
     return lines
 
 
+# scope -> (default --n-max for a given k, runner); the order is --help's
+VERIFY_SCOPES = {
+    "oracle": (lambda k: DEFAULT_TREE_LIMITS.get(k, 2), _verify_oracle),
+    "bijection": (lambda k: DEFAULT_TREE_LIMITS.get(k, 2), _verify_bijection),
+    "bounds-lower": (lambda k: 0, lambda args: _verify_bounds_scope(args, "lower")),
+    "bounds-upper": (lambda k: 0, lambda args: _verify_bounds_scope(args, "upper")),
+    "ratio": (lambda k: 600, _verify_ratio),
+    "p-ineq": (lambda k: 60 // k, _verify_p_ineq),
+    "transform": (lambda k: 30 // k, _verify_transform),
+}
+
+
 def cmd_verify(args) -> int:
+    default_n_max, run = VERIFY_SCOPES[args.scope]
     if args.n_max is None:
-        args.n_max = _default_n_max(args.scope, args.k)
-    if args.scope == "oracle":
-        report = _verify_oracle(args)
-    elif args.scope == "bijection":
-        report = _verify_bijection(args)
-    elif args.scope == "transform":
-        report = _verify_transform(args)
-    elif args.scope == "ratio":
-        report = _verify_ratio(args)
-    elif args.scope == "p-ineq":
-        report = _verify_p_ineq(args)
-    else:
-        report = _verify_bounds_scope(args, args.scope.removeprefix("bounds-"))
+        args.n_max = default_n_max(args.k)
+    report = run(args)
     if args.format == "json":
         json.dump(report, sys.stdout, sort_keys=True)
         sys.stdout.write("\n")
@@ -471,6 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # CPython 3.11+ (and 3.10.7+) refuses to convert ints over 4,300 digits
+    # to or from str; a count the byte budget admits can be longer.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(MAX_COUNT_DIGITS)
     try:
         return args.func(args)
     except CacheError as exc:

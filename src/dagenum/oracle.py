@@ -45,6 +45,8 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
         return
 
     nodes: list[Node] = []
+    pointer = [Child(POINTER, target) for target in range(n + 2)]
+    spine = [Child(SPINE, target) for target in range(n + 2)]
 
     def node_states(completed: int, created: int) -> Iterator[tuple[int, int]]:
         """Build one internal node; yields (completed, created) after it closes."""
@@ -60,21 +62,22 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
             nodes.pop()
             return
         for target in range(1, completed + 1):
-            yield from slot_states(idx + 1, children + (Child(POINTER, target),), completed, created)
+            yield from slot_states(idx + 1, children + (pointer[target],), completed, created)
         if completed == 0:
-            yield from slot_states(idx + 1, children + (Child(SPINE, 1),), 1, created)
+            yield from slot_states(idx + 1, children + (spine[1],), 1, created)
         if created < n:
             for sub_completed, sub_created in node_states(completed, created + 1):
                 # the subtree root completed last, so its label is sub_completed
                 yield from slot_states(
-                    idx + 1, children + (Child(SPINE, sub_completed),), sub_completed, sub_created
+                    idx + 1, children + (spine[sub_completed],), sub_completed, sub_created
                 )
 
     for completed, created in node_states(0, 1):
         if created == n:
             if completed != n + 1:
                 raise AssertionError(f"{completed} labels completed, not n + 1 = {n + 1}")
-            yield RelaxedTree(k, tuple(sorted(nodes, key=lambda nd: nd.label)))
+            # nodes close in label order
+            yield RelaxedTree(k, tuple(nodes))
 
 
 def enumerate_relaxed_via_paths(k: int, n: int, limit: int | None = None) -> Iterator[RelaxedTree]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 
@@ -19,10 +20,16 @@ class Step(NamedTuple):
     cross: int | None = None
 
 
+_UP = Step("U")
+
+
 def up() -> Step:
-    return Step("U")
+    return _UP
 
 
+# Steps are immutable, so paths can share them; the cache saves building a
+# NamedTuple per H step (three times the cost of a cache hit).
+@lru_cache(maxsize=1024, typed=True)
 def horiz(cross: int) -> Step:
     return Step("H", cross)
 
@@ -56,20 +63,20 @@ def validate_path(p: DecoratedPath) -> PathReport:
     if not p.steps or p.steps[0].kind != "U":
         return PathReport(False, 0, "first-step")
     x, y = 0, -1
-    for idx, step in enumerate(p.steps):
-        if step.kind == "U":
-            if step.cross is not None:
+    for idx, (kind, cross) in enumerate(p.steps):
+        if kind == "U":
+            if cross is not None:
                 return PathReport(False, idx, "step-format")
             y += 1
             # the constraint applies with the initial U removed; the vertex
             # after that first step is (0, 0), which satisfies it anyway
             if (p.k - 1) * y > x:
                 return PathReport(False, idx, "diagonal")
-        elif step.kind == "H":
-            if not isinstance(step.cross, int):
+        elif kind == "H":
+            if not isinstance(cross, int):
                 return PathReport(False, idx, "step-format")
             # height m = y, one unit box per row from y = -1 up
-            if not 1 <= step.cross <= y + 1:
+            if not 1 <= cross <= y + 1:
                 return PathReport(False, idx, "cross-range")
             x += 1
         else:

@@ -24,13 +24,19 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
-from math import log2
+from math import log2, log10, sqrt
 from pathlib import Path
 
 KINDS = ("relaxed", "compacted", "dfa")
 _A_MUL = {"relaxed": 1, "compacted": 1, "dfa": 2}
 
 DEFAULT_BYTE_BUDGET = 2**31  # 2 GiB
+# Decimal digits of the largest count the streaming budget admits, 310,759.
+# _check_budget puts c = 32 + (k-1) m growth / 8 bytes in the top cell and
+# charges the window about (k-1) m cells of at least c/2 bytes, so
+# c (c - 32) <= budget * growth / 4, where growth < log2(budget).
+_TOP_CELL = 32 + sqrt(DEFAULT_BYTE_BUDGET * log2(DEFAULT_BYTE_BUDGET) / 4)
+MAX_COUNT_DIGITS = int(8 * _TOP_CELL * log10(2)) + 1
 
 
 class CacheError(Exception):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 SPINE = "spine"
@@ -73,128 +74,140 @@ def validate_tree(t: RelaxedTree) -> ValidationReport:
     pointer acyclicity, postorder labelling, unique source) run only when
     the structure is sound enough to traverse.
     """
-    violations: list[Violation] = []
+    violations, _ = _walk(t)
+    return ValidationReport(not violations, violations)
+
+
+def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int] | None]:
+    """The one postorder walk: validate_tree's violations, in its order, and
+    for a valid tree the step trace of the walk, else None.
+
+    The trace holds 0 for a U step (each completion; the sink completes on
+    its first visit) and the target label for an H step (each edge that is
+    not a spanning edge).  The walk's per-label state lives in lists indexed
+    by label.
+    """
     if t.k < 2:
-        violations.append(Violation("arity-k", ()))
-        return ValidationReport(False, violations)
-
+        return [Violation("arity-k", ())], None
+    violations: list[Violation] = []
     n = len(t.nodes)
-    labels = [node.label for node in t.nodes]
-    seen: set[int] = set()
-    for lbl in labels:
-        if lbl in seen:
-            violations.append(Violation("label-duplicate", (lbl,)))
-        seen.add(lbl)
-    expected = set(range(2, n + 2))
-    if seen != expected:
-        bad = tuple(sorted(seen.symmetric_difference(expected)))
-        violations.append(Violation("label-range", bad))
+    root = n + 1
+    kids = {node.label: node.children for node in t.nodes}
+    if len(kids) < n:  # a label repeats
+        seen: set[int] = set()
+        for node in t.nodes:
+            if node.label in seen:
+                violations.append(Violation("label-duplicate", (node.label,)))
+            seen.add(node.label)
+    bad = kids.keys() ^ set(range(2, n + 2))
+    if bad:
+        violations.append(Violation("label-range", tuple(sorted(bad))))
+    kids[1] = ()  # the sink
 
-    known = seen | {1}
     for node in t.nodes:
         if len(node.children) != t.k:
             violations.append(Violation("arity", (node.label,)))
-        for child in node.children:
-            if child.kind not in (SPINE, POINTER):
+        for kind, target in node.children:
+            if kind != SPINE and kind != POINTER:
                 violations.append(Violation("edge-kind", (node.label,)))
-            if child.target not in known:
-                violations.append(Violation("dangling-target", (node.label, child.target)))
+            if target not in kids:
+                violations.append(Violation("dangling-target", (node.label, target)))
 
     if violations:
-        return ValidationReport(False, violations)
+        return violations, None
     if n == 0:
-        return ValidationReport(True, [])
+        return violations, [0]
 
     # DFS from the root, recomputing the spanning tree instead of trusting
     # the spine tags.  An edge is a spanning edge iff it first-visits its
     # target; pointers must target postorder-completed nodes.
-    node_map = t.node_map()
-    root = n + 1
-    visited = {root}
-    completed: set[int] = set()
-    post_number: dict[int, int] = {}
+    visited = bytearray(n + 2)
+    visited[root] = 1
+    post_number = [0] * (n + 2)  # 0 until the node completes
     counter = 0
-    # frame: (label, child index)
-    stack: list[list] = [[root, 0]]
+    in_postorder = True
+    trace: list[int] = []
+    stack = [(root, iter(kids[root]))]
     while stack:
-        frame = stack[-1]
-        label = frame[0]
-        node = node_map[label]
-        if frame[1] == len(node.children):
+        label, rest = stack[-1]
+        for kind, target in rest:
+            if visited[target]:
+                if kind != POINTER:
+                    violations.append(Violation("spine-tag", (label, target)))
+                elif not post_number[target]:
+                    violations.append(Violation("pointer-order", (label, target)))
+                trace.append(target)
+                continue
+            # spanning edge
+            if kind != SPINE:
+                violations.append(Violation("spine-tag", (label, target)))
+                violations.append(Violation("pointer-order", (label, target)))
+            visited[target] = 1
+            stack.append((target, iter(kids[target])))
+            break
+        else:
             counter += 1
             post_number[label] = counter
-            completed.add(label)
+            if counter != label:
+                in_postorder = False
+            trace.append(0)
             stack.pop()
-            continue
-        child = node.children[frame[1]]
-        frame[1] += 1
-        target = child.target
-        if target not in visited:
-            # spanning edge
-            if child.kind != SPINE:
-                violations.append(Violation("spine-tag", (label, target)))
-                if target not in completed:
-                    violations.append(Violation("pointer-order", (label, target)))
-            visited.add(target)
-            if target == 1:
-                counter += 1
-                post_number[1] = counter
-                completed.add(1)
-            else:
-                stack.append([target, 0])
-        else:
-            if child.kind != POINTER:
-                violations.append(Violation("spine-tag", (label, target)))
-            if child.kind == POINTER and target not in completed:
-                violations.append(Violation("pointer-order", (label, target)))
 
-    unreachable = tuple(sorted(known - visited))
-    if unreachable:
+    reached_all = counter == root  # every visited node completes
+    if not reached_all:
+        unreachable = tuple(lbl for lbl in range(1, n + 2) if not visited[lbl])
         violations.append(Violation("unreachable", unreachable))
-
-    for label, number in sorted(post_number.items()):
-        if label != number:
-            violations.append(Violation("postorder", (label,)))
-
-    # every non-root node needs an incoming edge (unique source)
-    indegree = {lbl: 0 for lbl in known}
-    for node in t.nodes:
-        for child in node.children:
-            indegree[child.target] += 1
-    sources = tuple(sorted(lbl for lbl, deg in indegree.items() if deg == 0 and lbl != root))
-    if sources:
-        violations.append(Violation("unique-source", sources))
-
-    return ValidationReport(not violations, violations)
+    if not in_postorder:
+        for label in range(1, n + 2):
+            if visited[label] and post_number[label] != label:
+                violations.append(Violation("postorder", (label,)))
+    # Every non-root node needs an incoming edge (unique source).  The walk
+    # reached each visited node through one, so only a tree with unreachable
+    # nodes can have another source.
+    if not reached_all:
+        indegree = [0] * (n + 2)
+        for node in t.nodes:
+            for child in node.children:
+                indegree[child.target] += 1
+        sources = tuple(lbl for lbl in range(1, n + 1) if indegree[lbl] == 0)
+        if sources:
+            violations.append(Violation("unique-source", sources))
+    return violations, None if violations else trace
 
 
 def fringe_key(t: RelaxedTree, label: int) -> str:
     """Canonical serialization of the fully unfolded k-ary tree below `label`.
 
-    Spine and pointer children are unfolded uniformly.  Keys are built
-    bottom-up over ascending labels, which both memoizes shared nodes and
-    guarantees termination: in a valid tree every child target carries a
-    smaller postorder label than its parent.
+    Spine and pointer children are unfolded uniformly, so the string can
+    grow exponentially with the tree: shared nodes appear once per path to
+    them (the doubling chain's root key has 3.1 M characters at n = 20).
+    `is_compacted` compares interned ids instead.
     """
-    keys = _fringe_keys(t)
+    keys = _fold(t, "s", lambda parts: "(" + "".join(parts) + ")")
     if label not in keys:
         raise ValueError(f"no-such-node: {label}")
     return keys[label]
 
 
-def _fringe_keys(t: RelaxedTree) -> dict[int, str]:
-    keys = {1: "s"}
-    for node in sorted(t.nodes, key=lambda nd: nd.label):
+def _fold(t: RelaxedTree, sink, combine) -> dict:
+    """Map each label to `combine` of its children's values, the sink to `sink`.
+
+    Values are built bottom-up over ascending labels, which both memoizes
+    shared nodes and guarantees termination: in a valid tree every child
+    target carries a smaller postorder label than its parent.
+    """
+    values = {1: sink}
+    for label, children in sorted(t.nodes, key=itemgetter(0)):
         parts = []
-        for child in node.children:
-            if child.target >= node.label or child.target not in keys:
+        for _, target in children:
+            if target >= label or target not in values:
                 raise ValueError(
-                    f"invalid-tree: node {node.label} references {child.target}, "
+                    f"invalid-tree: node {label} references {target}, "
                     "which is not postorder-complete"
                 )
-            parts.append(keys[child.target])
-        keys[node.label] = "(" + "".join(parts) + ")"
-    return keys
+            parts.append(values[target])
+        values[label] = combine(parts)
+    return values
 
 
 def is_cherry(node: Node) -> bool:
@@ -206,22 +219,23 @@ def is_compacted(t: RelaxedTree) -> bool:
     """True iff all fringe subtrees of internal nodes are pairwise distinct.
 
     Evaluates two independent criteria and cross-asserts them: distinctness
-    of the canonical fringe keys, and absence of a pair (u, v) with the same
-    ordered child targets where v is a cherry.
+    of the fringe subtrees, hash-consed (a node's id interns the tuple of
+    its children's ids, so equal ids mean equal unfolded subtrees, in
+    O(n k) time), and absence of a pair (u, v) with the same ordered child
+    targets where v is a cherry.
     """
     report = validate_tree(t)
     if not report.ok:
         raise ValueError(f"invalid-tree: {report.first_code()}")
-    keys = _fringe_keys(t)
-    by_key = len({keys[node.label] for node in t.nodes})
-    distinct_keys = by_key == len(t.nodes)
+    interned: dict[tuple[int, ...], int] = {}
+    _fold(t, 0, lambda parts: interned.setdefault(tuple(parts), len(interned) + 1))
+    distinct_keys = len(interned) == len(t.nodes)
 
     by_targets: dict[tuple[int, ...], list[Node]] = {}
     for node in t.nodes:
-        by_targets.setdefault(tuple(c.target for c in node.children), []).append(node)
+        by_targets.setdefault(tuple([c.target for c in node.children]), []).append(node)
     dup_with_cherry = any(
-        len(group) >= 2 and any(is_cherry(nd) for nd in group)
-        for group in by_targets.values()
+        len(group) >= 2 and any(map(is_cherry, group)) for group in by_targets.values()
     )
     if distinct_keys != (not dup_with_cherry):
         raise AssertionError(

@@ -204,6 +204,39 @@ def test_warm_count_stays_small(capsys, run_python, tmp_path):
     assert max_rss_kb < 50 * 1024
 
 
+def test_count_prints_counts_over_4300_digits(run_python, tmp_path):
+    # relaxed k = 3 passes CPython's default int -> str limit of 4,300 digits
+    # at n = 757; a fresh interpreter starts with that limit
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from dagenum.cli import main\n"
+        "from dagenum.tables import diagonal_sequence\n"
+        "def count(*extra):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(['count', '--kind', 'relaxed', '--k', '3', '--n-max', '757', *extra])\n"
+        "    return code, buf.getvalue()\n"
+        "cache = ['--cache-dir', sys.argv[1]]\n"
+        "runs = [count(), count(*cache), count(*cache)]\n"
+        "runs += [count('--format', fmt, *cache) for fmt in ('csv', 'json')]\n"
+        "plain = runs[0][1]\n"
+        "top = diagonal_sequence('relaxed', 3, 757)[-1]\n"
+        "print(json.dumps({\n"
+        "    'codes': [code for code, _ in runs],\n"
+        "    'digits': len(str(top)),\n"
+        "    'last': plain.splitlines()[-1] == f'757,{top}',\n"
+        "    'cached': runs[1][1] == runs[2][1] == plain,\n"
+        "    'csv': runs[3][1] == 'n,count\\n' + plain,\n"
+        "    'json': json.loads(runs[4][1])['counts'][-1] == [757, top],\n"
+        "}))\n"
+    )
+    proc = run_python("-c", script, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0] * 5, "digits": 4302, "last": True, "cached": True, "csv": True, "json": True,
+    }
+
+
 def test_count_bad_arity_exits_2(capsys):
     code, _, err = run(capsys, ["count", "--kind", "relaxed", "--k", "1", "--n-max", "3"])
     assert code == 2

@@ -52,6 +52,11 @@ def test_step_format():
     assert not rep.ok and rep.code == "step-format"
     rep = validate_path(DecoratedPath(2, (up(), Step("X", None))))
     assert not rep.ok and rep.code == "step-format"
+    # horiz shares its steps; an equal cross of another type is another step
+    assert horiz(1) == Step("H", 1)
+    assert type(horiz(1.0).cross) is float and type(horiz(True).cross) is bool
+    rep = validate_path(DecoratedPath(2, (up(), horiz(1.0))))
+    assert not rep.ok and rep.code == "step-format"
 
 
 def test_generation_order_k2_n2():

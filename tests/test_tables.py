@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,27 @@ def test_interrupted_save_keeps_old_cache(tmp_path, torn_writes):
             save_table(build_table("relaxed", 2, 12), path)
     assert load_table(path).n_max == 6
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("kind", ["relaxed", "dfa"])
+@pytest.mark.parametrize("k", [2, 16, 1024])
+def test_max_count_digits_covers_what_the_budget_admits(kind, k):
+    def admitted(n):
+        try:
+            tables._check_budget(kind, k, (k - 1) * n, wedge=False)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 1, 2  # bisect for the largest admitted n
+    while admitted(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    # the projection's own bound on the top count: growth bits per column
+    bits = (k - 1) * lo * math.log2(tables._A_MUL[kind] + lo + 2)
+    assert bits * math.log10(2) + 1 < tables.MAX_COUNT_DIGITS
 
 
 def test_byte_budget_is_checked_before_any_column():

@@ -1,11 +1,18 @@
+import hashlib
+import sys
+
 import pytest
 
+from dagenum import paths
+from dagenum.bijection import tree_to_path
+from dagenum.oracle import enumerate_relaxed
 from dagenum.trees import (
     Child,
     Node,
     POINTER,
     RelaxedTree,
     SPINE,
+    Violation,
     dumps,
     fringe_key,
     is_compacted,
@@ -128,6 +135,23 @@ def test_is_compacted_detects_duplicate_fringe():
     assert is_compacted(ok)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps RLIMIT_AS")
+def test_is_compacted_is_linear_on_the_doubling_chain(run_python):
+    # node m = (spine m-1, pointer m-1): each node doubles the unfolded fringe
+    # (3.1 M characters at n = 20), so only interned ids classify n = 300;
+    # the address-space cap makes a run that unfolds fail fast, in the child
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from dagenum.trees import Child, Node, POINTER, RelaxedTree, SPINE, is_compacted\n"
+        "nodes = [Node(m, (Child(SPINE, m - 1), Child(POINTER, m - 1))) for m in range(2, 302)]\n"
+        "print(is_compacted(RelaxedTree(2, tuple(nodes))))\n"
+    )
+    proc = run_python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 def test_is_compacted_rejects_invalid_tree():
     with pytest.raises(ValueError, match="invalid-tree"):
         is_compacted(RelaxedTree(2, (Node(2, (S(1),)),)))
@@ -162,3 +186,109 @@ def test_fixture_tree_is_valid(fixtures_dir):
     # cherry, so this relaxed tree is not a compacted one
     assert not is_compacted(t)
     assert dumps(t) == (fixtures_dir / "ternary7_tree.json").read_text()
+
+
+V = Violation
+# Every violation code, each case with its whole report: the codes, their
+# labels and their order are frozen, so a rewrite of the walk cannot drop,
+# add or reorder a finding.
+MALFORMED = {
+    "arity-k": (RelaxedTree(1, ()), [V("arity-k", ())]),
+    "label-duplicate": (
+        RelaxedTree(2, (Node(2, (S(1), P(1))), Node(2, (P(1), P(1))))),
+        [V("label-duplicate", (2,)), V("label-range", (3,))],
+    ),
+    "label-duplicate-out-of-range": (
+        RelaxedTree(2, (Node(2, (S(1), P(1))), Node(7, (P(1), P(7))), Node(7, (P(1), P(1))))),
+        [V("label-duplicate", (7,)), V("label-range", (3, 4, 7))],
+    ),
+    "label-range": (
+        RelaxedTree(2, (Node(5, (S(1), P(1))), Node(0, (S(1), P(1))))),
+        [V("label-range", (0, 2, 3, 5))],
+    ),
+    "arity": (RelaxedTree(3, (Node(2, (S(1), P(1))),)), [V("arity", (2,))]),
+    "edge-kind": (RelaxedTree(2, (Node(2, (S(1), Child("loop", 1))),)), [V("edge-kind", (2,))]),
+    "dangling-target": (
+        RelaxedTree(2, (Node(2, (S(1), P(9))), Node(3, (S(2), Child("loop", 4), P(3))))),
+        [V("dangling-target", (2, 9)), V("arity", (3,)), V("edge-kind", (3,)), V("dangling-target", (3, 4))],
+    ),
+    "spine-tag": (RelaxedTree(2, (Node(2, (S(1), S(1))),)), [V("spine-tag", (2, 1))]),
+    "pointer-order": (
+        RelaxedTree(2, (Node(2, (S(1), P(1))), Node(3, (S(2), P(3))))),
+        [V("pointer-order", (3, 3))],
+    ),
+    "first-visit-pointer": (
+        RelaxedTree(2, (Node(2, (P(1), P(1))), Node(3, (P(2), S(1))))),
+        [
+            V("spine-tag", (3, 2)),
+            V("pointer-order", (3, 2)),
+            V("spine-tag", (2, 1)),
+            V("pointer-order", (2, 1)),
+            V("spine-tag", (3, 1)),
+        ],
+    ),
+    "unreachable": (
+        RelaxedTree(
+            2,
+            (
+                Node(2, (S(1), P(1))),
+                Node(3, (P(2), P(2))),
+                Node(4, (P(3), P(3))),
+                Node(5, (S(2), P(2))),
+            ),
+        ),
+        [V("unreachable", (3, 4)), V("postorder", (5,)), V("unique-source", (4,))],
+    ),
+    "postorder": (
+        RelaxedTree(2, (Node(2, (P(1), P(1))), Node(3, (S(1), P(1))), Node(4, (S(3), S(2))))),
+        [V("postorder", (2,)), V("postorder", (3,))],
+    ),
+    "unique-source": (
+        RelaxedTree(2, (Node(2, (P(2), P(2))),)),
+        [
+            V("pointer-order", (2, 2)),
+            V("pointer-order", (2, 2)),
+            V("unreachable", (1,)),
+            V("postorder", (2,)),
+            V("unique-source", (1,)),
+        ],
+    ),
+}
+
+
+def test_malformed_table_covers_every_code():
+    codes = {v.code for _, expected in MALFORMED.values() for v in expected}
+    assert codes == {
+        "arity-k", "label-duplicate", "label-range", "arity", "edge-kind", "dangling-target",
+        "spine-tag", "pointer-order", "unreachable", "postorder", "unique-source",
+    }
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_tree_report_is_frozen(name):
+    t, expected = MALFORMED[name]
+    report = validate_tree(t)
+    assert report.violations == expected
+    assert not report.ok
+    with pytest.raises(ValueError, match=f"^invalid-tree: {expected[0].code}$"):
+        tree_to_path(t)
+
+
+@pytest.mark.parametrize(
+    "k,n_max,count,digest",
+    [
+        (2, 5, 1511, "6d4656b6d9ab4d6bec525ae38eefe21586b3a66f3ca51168b0cc35518eae493a"),
+        (3, 3, 148, "f4d9b747844c7c2e6e0307318ce60463ba07a53754921ac751264da73f147b81"),
+    ],
+)
+def test_tree_to_path_golden_digest(k, n_max, count, digest):
+    # sha256 of the path documents of every tree of sizes 0..n_max, in
+    # enumeration order
+    h = hashlib.sha256()
+    seen = 0
+    for n in range(n_max + 1):
+        for t in enumerate_relaxed(k, n):
+            h.update(paths.dumps(tree_to_path(t)).encode())
+            seen += 1
+    assert seen == count
+    assert h.hexdigest() == digest
