@@ -37,6 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..tables import DEFAULT_BYTE_BUDGET
 from .airy import _airy_ai_vec, airy_root_a1
 from .scaled import _exact_rows, weight_u_exact
 
@@ -57,15 +58,13 @@ __all__ = [
 # satisfied.  Genuine in-window comparisons stay ~40 orders above the floor.
 _UNDERFLOW_FLOOR = 1e-290
 
-# Ai(x) is exactly 0.0 in double precision past x ~ 108; skip the evaluator
-# for larger arguments instead of letting the asymptotic series underflow.
-_AI_ZERO_CUTOFF = 115.0
-
 # A sweep block adds rows until it holds this many points, then makes its
 # one Airy call.  The evaluator's cost is mostly per call up to a few
 # thousand points, so blocks remove it; the budget keeps a block's arrays
 # to a few MB however wide the rows get.
 _BLOCK_POINTS = 1 << 16
+# A block peaks near 250 bytes per Airy point (tracemalloc, series regime).
+_BYTES_PER_POINT = 320
 
 _SIDES = ("lower", "upper")
 
@@ -143,14 +142,6 @@ def _default_quartic(p: BoundParams, i: int, j):
 QuarticTerm = Callable[[BoundParams, int, "np.ndarray | float"], "np.ndarray | float"]
 
 
-def _ai_profile(args: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(args)
-    live = args <= _AI_ZERO_CUTOFF
-    if np.any(live):
-        out[live] = _airy_ai_vec(args[live])
-    return out
-
-
 def _x_row(
     side: str,
     p: BoundParams,
@@ -182,15 +173,11 @@ def _x_row(
             br = br + quartic(p, i, jf)
         brackets.append(br)
         args.append(p.a1 + p.B * (jf + 1.0) / i13)
-    ai = _ai_profile(np.concatenate(args))
-    splits = np.cumsum([br.shape[0] for br in brackets])[:-1]
-    out = []
-    for br, a in zip(brackets, np.split(ai, splits)):
-        vals = br * a
-        if clamp:
-            vals = np.maximum(vals, 0.0)
-        out.append(vals)
-    return out
+    ai = _airy_ai_vec(np.concatenate(args))
+    vals = np.concatenate(brackets) * ai
+    if clamp:
+        vals = np.maximum(vals, 0.0)
+    return np.split(vals, np.cumsum([br.shape[0] for br in brackets])[:-1])
 
 
 def bound_value(
@@ -365,6 +352,12 @@ def verify_bounds(
         raise ValueError(f"i-range: ({i_min}, {i_max}) needs 2 <= i_min <= i_max")
     q = quartic if quartic is not None else _default_quartic
     p_exp = (2.0 / 3.0 - epsilon) if side == "lower" else (1.0 - epsilon)
+    # widest row plus one block, before any array; min() keeps float(i) finite
+    widest = _window(min(i_max, 2**1000), p_exp) + k + 3
+    if (widest + _BLOCK_POINTS) * _BYTES_PER_POINT > DEFAULT_BYTE_BUDGET:
+        raise ValueError(
+            f"byte-budget: projected sweep exceeds configured byte budget ({DEFAULT_BYTE_BUDGET})"
+        )
     violations = _scan_block(side, params, p_exp, q, i_min, i_max)
     i0 = violations[-1][0] + 1 if violations else i_min
     return BoundReport(

@@ -306,19 +306,22 @@ def cmd_convert(args) -> int:
     text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
     if args.direction == "tree-to-path":
         t = trees.loads(text)
-        rep = validate_tree(t)
-        if not rep.ok:
-            for v in rep.violations:
+        try:
+            path = tree_to_path(t)
+        except ValueError:  # only now walk again, to list every violation
+            for v in validate_tree(t).violations:
                 print(f"invalid tree: {v.code} at {list(v.labels)}", file=sys.stderr)
             return EXIT_USAGE
-        out_text = paths.dumps(tree_to_path(t))
+        out_text = paths.dumps(path)
     else:
         p = paths.loads(text)
-        rep = validate_path(p)
-        if not rep.ok:
+        try:
+            tree = path_to_tree(p)
+        except ValueError:
+            rep = validate_path(p)
             print(f"invalid path: {rep.code} at step {rep.index}", file=sys.stderr)
             return EXIT_USAGE
-        out_text = trees.dumps(path_to_tree(p))
+        out_text = trees.dumps(tree)
     if args.output == "-":
         sys.stdout.write(out_text)
     else:

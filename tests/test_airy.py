@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -36,11 +37,28 @@ def test_ai_prime_against_mpmath(x):
 
 
 def test_vectorized_matches_scalar():
-    # term counts are chosen array-wide, so allow a last-bit wobble
-    xs = np.array([-5.5, -1.0, 0.0, 4.0, 8.0, 9.5, 30.0])
+    xs = np.concatenate(
+        [[-5.5, -1.0, 0.0, 4.0, 8.0, 9.5, 30.0], np.random.default_rng(9).uniform(-6.0, 120.0, 9000)]
+    )
     vec = _airy_ai_vec(xs)
-    for x, v in zip(xs, vec):
-        assert v == pytest.approx(airy_ai(float(x)), rel=1e-14, abs=0.0)
+    assert [airy_ai(float(x)).hex() for x in xs] == [float(v).hex() for v in vec]
+
+
+def test_golden_values(fixtures_dir):
+    # 2,000 points over [-6, 120] (edges, then default_rng(20240817)), with
+    # the values the evaluator gave when Ai and Ai' still had separate loops
+    golden = json.loads((fixtures_dir / "airy_ai_golden.json").read_text())
+    xs = np.array([float.fromhex(x) for x, _ in golden])
+    assert [float(v).hex() for v in _airy_ai_vec(xs)] == [ai for _, ai in golden]
+
+
+def test_slices_match_whole_array():
+    xs = np.random.default_rng(13).uniform(-6.0, 120.0, 3000)
+    whole = _airy_ai_vec(xs)
+    for size in (1, 7, 64, 1000, 2999):
+        for start in range(0, min(xs.size, 300 if size == 1 else xs.size), size):
+            part = _airy_ai_vec(xs[start : start + size])
+            assert np.array_equal(part.view(np.int64), whole[start : start + size].view(np.int64))
 
 
 def test_domain_guard():
@@ -57,8 +75,14 @@ def test_domain_guard():
 
 def test_deep_tail_underflows_to_zero():
     assert airy_ai(120.0) == 0.0
+    assert airy_ai_prime(120.0) == 0.0
+    assert math.copysign(1.0, airy_ai_prime(120.0)) == 1.0
     # but well before that the value is a genuine denormal-free double
     assert airy_ai(100.0) > 0.0
+    # points past the 115 cut-off are zero; points before it are evaluated
+    xs = np.array([100.0, 114.0, 115.0, math.nextafter(115.0, math.inf), 116.0, 1e6])
+    assert np.array_equal(_airy_ai_vec(xs), [airy_ai(x) for x in xs])
+    assert _airy_ai_vec(xs)[0] > 0.0 and not _airy_ai_vec(xs)[2:].any()
 
 
 def test_first_root():

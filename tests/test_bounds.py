@@ -15,6 +15,7 @@ from dagenum.asym.bounds import (
     verify_bounds,
 )
 from dagenum.asym.scaled import weight_u
+from dagenum.tables import DEFAULT_BYTE_BUDGET
 
 
 def test_min_eta_values():
@@ -224,6 +225,16 @@ def test_verify_bounds_range_guard():
         verify_bounds("lower", 2, eta, 0.1, (1, 50))
     with pytest.raises(ValueError, match="i-range"):
         verify_bounds("lower", 2, eta, 0.1, (60, 50))
+
+
+def test_verify_bounds_byte_budget():
+    # i past the float range: refused up front, not an OverflowError
+    with pytest.raises(ValueError, match="byte-budget: "):
+        verify_bounds("upper", 2, 1.05 * min_eta(2), 0.1, (10**400, 10**400))
+    # the acceptance sweeps (i <= 10000) project to about 1% of the budget
+    widest = bounds._window(10_000, 1.0 - 0.1) + 5 + 3
+    projected = (widest + bounds._BLOCK_POINTS) * bounds._BYTES_PER_POINT
+    assert projected < DEFAULT_BYTE_BUDGET / 50
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (2, 6), (3, 2), (3, 4)])

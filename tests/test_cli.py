@@ -184,6 +184,38 @@ def test_oversized_requests_exit_2_at_once(run_python, tmp_path, argv):
     assert proc.stderr.startswith("error: byte-budget")
 
 
+_FAR_I = "1000000000000"  # one upper-side row at this i has 63 billion points
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scope", "bounds-upper", "--k", "2", "--i-min", _FAR_I, "--i-max", _FAR_I],
+        ["asym", "bounds", "--side", "upper", "--k", "2", "--i-min", _FAR_I, "--i-max", _FAR_I],
+    ],
+    ids=["verify-bounds-upper", "asym-bounds-upper"],
+)
+def test_oversized_sweeps_exit_2_under_a_memory_cap(run_python, argv):
+    # always under a 1 GiB address-space cap: a sweep that allocates its
+    # row instead of refusing it must fail here, not take the machine's memory
+    script = (
+        "import os, resource, sys\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from dagenum.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    started = time.perf_counter()
+    proc = run_python("-c", script, timeout=10)
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: byte-budget: "), proc.stderr
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_warm_count_stays_small(capsys, run_python, tmp_path):
     argv = _count("relaxed", 2, 600, "--cache-dir", str(tmp_path))
@@ -356,6 +388,39 @@ def test_convert_invalid_tree_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["convert", "--direction", "tree-to-path", "--input", str(bad)])
     assert code == 2
     assert err.startswith("invalid tree: arity")
+
+
+def test_convert_validates_valid_input_once(capsys, monkeypatch, fixtures_dir):
+    import dagenum.bijection
+    import dagenum.cli
+    import dagenum.paths
+    import dagenum.trees
+
+    calls = {"walk": 0, "validate_path": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    walk = counted("walk", dagenum.trees._walk)
+    monkeypatch.setattr(dagenum.trees, "_walk", walk)
+    monkeypatch.setattr(dagenum.bijection, "_walk", walk)
+    check = counted("validate_path", dagenum.paths.validate_path)
+    monkeypatch.setattr(dagenum.bijection, "validate_path", check)
+    monkeypatch.setattr(dagenum.cli, "validate_path", check)
+    for direction, name in (("tree-to-path", "tree"), ("path-to-tree", "path")):
+        doc = str(fixtures_dir / f"ternary7_{name}.json")
+        assert run(capsys, ["convert", "--direction", direction, "--input", doc])[0] == 0
+    assert calls == {"walk": 1, "validate_path": 1}
+
+
+def test_convert_invalid_path_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"k": 2, "steps": [{"type": "U"}, {"type": "U"}]}))
+    code, out, err = run(capsys, ["convert", "--direction", "path-to-tree", "--input", str(bad)])
+    assert (code, out, err) == (2, "", "invalid path: diagonal at step 1\n")
 
 
 def test_convert_unparseable_input_exits_2(capsys, tmp_path):

@@ -101,6 +101,8 @@ def commands() -> list[list[str]]:
             cmds.append(["asym", "bounds", "--side", side, "--k", k, "--i-max", "80"])
         cmds.append(["asym", "bounds", "--side", side, "--k", "3", "--i-max", "40", "--threads", "8"])
         cmds.append(["asym", "bounds", "--side", side, "--k", "2", "--i-min", "50", "--i-max", "40"])
+    for k in ("2", "5"):  # rows reaching x > 30 and the Airy zero cut-off at 115
+        cmds.append(["asym", "bounds", "--side", "upper", "--k", k, "--i-min", "9800", "--i-max", "10000"])
     cmds.append(["asym", "profile", "--k", "2", "--i", "60"])
     cmds.append(["asym", "profile", "--k", "3", "--i", "40", "--j-limit", "5"])
     return cmds
