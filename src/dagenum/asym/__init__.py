@@ -1,49 +1,21 @@
 """Asymptotic machinery: Airy numerics, scaled transform tables,
-growth-rate predictions, and the two-sided bound verifier."""
+growth-rate predictions, and the two-sided bound verifier.
 
-from .airy import airy_ai, airy_ai_prime, airy_root_a1
-from .scaled import (
-    ScaledTable,
-    build_scaled_table,
-    drift,
-    exact_transform_diagonal,
-    profile_check,
-    verify_transform,
-    weight_u,
-)
-from .predict import RatioPoint, log_factorial, predictor_log, ratio_diagnostic
-from .bounds import (
-    BoundParams,
-    BoundReport,
-    bound_value,
-    h_product_log,
-    min_eta,
-    p_ratio_check,
-    s_factor,
-    verify_bounds,
-)
+Each name loads its module on first access, through the package's table:
+exact and predict use no numpy, airy, scaled and bounds do."""
 
-__all__ = [
-    "airy_ai",
-    "airy_ai_prime",
-    "airy_root_a1",
-    "ScaledTable",
-    "build_scaled_table",
-    "drift",
-    "exact_transform_diagonal",
-    "profile_check",
-    "verify_transform",
-    "weight_u",
-    "RatioPoint",
-    "log_factorial",
-    "predictor_log",
-    "ratio_diagnostic",
-    "BoundParams",
-    "BoundReport",
-    "bound_value",
-    "h_product_log",
-    "min_eta",
-    "p_ratio_check",
-    "s_factor",
-    "verify_bounds",
-]
+import importlib
+
+from .. import _HOME_OF
+
+__all__ = sorted(name for name, home in _HOME_OF.items() if home.startswith("asym."))
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return getattr(importlib.import_module(f"..{_HOME_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -172,9 +172,3 @@ def airy_ai(x: float) -> float:
 def airy_ai_prime(x: float) -> float:
     """Ai'(x) for x >= -6."""
     return float(_airy_ai_vec([float(x)], prime=True)[0])
-
-
-def airy_root_a1() -> float:
-    """Largest (first negative) zero of Ai, a1 ~ -2.3381: DLMF Table 9.9.1,
-    as its nearest double, -0x1.2b471a873adf9p+1."""
-    return -2.338107410459767

@@ -23,23 +23,23 @@ exponential exp(3 a1 i^(1/3) / B) comes from.
 
 verify_bounds checks the cell inequalities exhaustively over a finite index
 range and reports every violating cell as data; it never extrapolates
-beyond the scanned range.  p_ratio_check validates, in exact arithmetic,
-the companion monotonicity of the weighted suffix-walk counts that the
-window-truncation argument rests on.
+beyond the scanned range.  p_ratio_check (in exact.py, imported here)
+validates, in exact arithmetic, the companion monotonicity of the weighted
+suffix-walk counts that the window-truncation argument rests on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from ..tables import DEFAULT_BYTE_BUDGET
-from .airy import _airy_ai_vec, airy_root_a1
-from .scaled import _exact_rows, weight_u_exact
+from .airy import _airy_ai_vec
+from .exact import p_ratio_check
+from .predict import airy_root_a1
 
 __all__ = [
     "BoundParams",
@@ -85,8 +85,8 @@ def min_eta(k: int) -> float:
 class BoundParams:
     """Constants of the sandwich witnesses for one arity.
 
-    eta only enters the upper witness; it must sit strictly above
-    min_eta(k).  epsilon controls the column windows (j < i^(2/3-eps) on
+    eta only enters the upper witness; it must be finite and sit strictly
+    above min_eta(k).  epsilon controls the column windows (j < i^(2/3-eps) on
     the lower side, j < i^(1-eps) on the upper side).  i0 is the verified
     threshold index, None until a verifier run fills it in.
     """
@@ -102,6 +102,8 @@ class BoundParams:
         floor = min_eta(self.k)
         if not self.eta > floor:
             raise ValueError(f"eta-floor: {self.eta} is not above {floor}")
+        if self.eta == math.inf:  # inf * 0**4 would make every cell NaN, none failing
+            raise ValueError(f"eta-finite: {self.eta} is not finite")
         if not 0.0 < self.epsilon < 2.0 / 3.0:
             raise ValueError(f"epsilon-range: {self.epsilon} outside (0, 2/3)")
         if not self.B > 0.0:
@@ -367,70 +369,3 @@ def verify_bounds(
         i_max=i_max,
         violations=violations,
     )
-
-
-def p_ratio_check(k: int, n: int) -> dict:
-    """Exact monotonicity checks for the weighted suffix-walk counts.
-
-    p[r][s] counts, with U weights on up steps, the walks from (r, s) to
-    (kn, 0) that never go below the axis; they are computed backward in
-    exact rationals.  Two families are checked: p[r][s]/(s+1) is
-    nonincreasing in s over admissible s <= r (same residue class mod k),
-    and the corner consequence p[kx][ky] <= (ky+1) p[kx][0] for y <= x.
-    The suffix count at the origin must also reproduce the forward
-    weighted-walk total, tying the two routes together exactly.
-
-    Returns {"ok", "kn", "pairs_checked", "first_violation"}.
-    """
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
-    if n < 1:
-        raise ValueError(f"out-of-range: n={n}")
-    kn = k * n
-    if kn > 60:
-        raise ValueError(f"too-large: exact suffix counts capped at kn=60, got {kn}")
-    cols: list[dict[int, Fraction]] = [dict() for _ in range(kn + 1)]
-    cols[kn][0] = Fraction(1)
-    for r in range(kn - 1, -1, -1):
-        nxt = cols[r + 1]
-        cur = cols[r]
-        for s in range(r % k, (k - 1) * (kn - r) + 1, k):
-            v = Fraction(0)
-            up = nxt.get(s + 1)
-            if up is not None:
-                v += weight_u_exact(k, r + 1, s + 1) * up
-            if s - k + 1 >= 0:
-                dn = nxt.get(s - k + 1)
-                if dn is not None:
-                    v += dn
-            if v:
-                cur[s] = v
-    rows = _exact_rows(k, kn)
-    if cols[0].get(0, Fraction(0)) != rows[kn][0]:
-        raise AssertionError("suffix/forward mismatch")
-    pairs = 0
-    first: Optional[tuple] = None
-    for r in range(kn + 1):
-        admissible = [s for s in sorted(cols[r]) if s <= r]
-        for a in range(len(admissible) - 1):
-            s1 = admissible[a]
-            for b in range(a + 1, len(admissible)):
-                s2 = admissible[b]
-                pairs += 1
-                if cols[r][s1] * (s2 + 1) < cols[r][s2] * (s1 + 1):
-                    if first is None:
-                        first = ("monotone", r, s1, s2)
-    for x in range(n + 1):
-        for y in range(x + 1):
-            pairs += 1
-            if cols[k * x].get(k * y, Fraction(0)) > (k * y + 1) * cols[k * x].get(
-                0, Fraction(0)
-            ):
-                if first is None:
-                    first = ("corner", x, y)
-    return {
-        "ok": first is None,
-        "kn": kn,
-        "pairs_checked": pairs,
-        "first_violation": first,
-    }

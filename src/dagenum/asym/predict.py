@@ -18,10 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .airy import airy_root_a1
-
 _LN2 = math.log(2.0)
 _EXACT_FACT_LIMIT = 10_000
+
+
+def airy_root_a1() -> float:
+    """Largest (first negative) zero of Ai, a1 ~ -2.3381: DLMF Table 9.9.1,
+    as its nearest double, -0x1.2b471a873adf9p+1."""
+    return -2.338107410459767
 
 
 def log_factorial(n: int) -> float:

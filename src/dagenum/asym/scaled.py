@@ -1,27 +1,10 @@
-"""Linear transform of the relaxed-tree recurrence and its scaled iteration.
+"""Floating-point iteration of the transformed relaxed recurrence, whose
+definition and exact rows are in exact.py, and the Airy profile fit.
 
-The diagonal counts admit an exact reformulation: define d over rows
-i = 0, 1, 2, ... with admissible columns j == i (mod k), 0 <= j <= i, by
-
-    d[0][0] = 1
-    d[i][j] = U(i, j) d[i-1][j-1] + d[i-1][j+k-1]
-
-with weight U(i, j) = (k-1)^2 (i - j + k) / ((k-1) i + j) and zero reads
-outside the admissible range.  Then
-
-    count(n) = ((k-1)n)! / (k-1)^(2(k-1)n) * d[kn][0]
-
-exactly, which this module verifies over Fractions (verify_transform) and
-iterates in scaled floating point for large rows (build_scaled_table).
-Row magnitudes grow like k^i, so each float row is renormalized to a
-max-mantissa in [1/2, 1) with the shed power of two accumulated in an
-integer exponent; the row shape is untouched (exact power-of-two scaling).
-
-Row i keeps its entries at j = (i mod k) + k*t for t = 0 .. i//k; the
-iteration maps parent indices as
-
-    i mod k >= 1:  j-1 -> same t,   j+k-1 -> t+1
-    i mod k == 0:  j-1 -> t-1,      j+k-1 -> same t
+build_scaled_table iterates the rows d[i][j] for large i.  Row magnitudes
+grow like k^i, so each float row is renormalized to a max-mantissa in
+[1/2, 1) with the shed power of two accumulated in an integer exponent;
+the row shape is untouched (exact power-of-two scaling).
 
 profile_check compares a scaled row against the Airy shape
 Ai(a1 + B (j+1) / i^(1/3)), B = (2/(k-1))^(1/3), fitting a single scale
@@ -31,21 +14,18 @@ factor by least squares.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .airy import _airy_ai_vec, airy_root_a1
+from .airy import _airy_ai_vec
+# bench/layers.py and bench/spans.py look exact_transform_diagonal up here
+from .exact import _check, _parent_rows, exact_transform_diagonal
+from .predict import airy_root_a1
 
 
 def weight_u(k: int, i: int, j: int) -> float:
     return (k - 1) ** 2 * (i - j + k) / ((k - 1) * i + j)
-
-
-def weight_u_exact(k: int, i: int, j: int) -> Fraction:
-    return Fraction((k - 1) ** 2 * (i - j + k), (k - 1) * i + j)
 
 
 def drift(k: int, i: int, j: int) -> float:
@@ -54,13 +34,6 @@ def drift(k: int, i: int, j: int) -> float:
     if 0 <= j <= k - 2:
         return 1.0
     return -k * (k - 1) * (j - k + 2) / (k * (i + 1) - i + j)
-
-
-def _check(k: int, i_max: int):
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
-    if i_max < 0:
-        raise ValueError(f"negative-size: {i_max}")
 
 
 @dataclass
@@ -93,18 +66,6 @@ class ScaledTable:
         if value <= 0.0:
             raise ValueError(f"log-domain: d[{i}][{j}] underflowed to zero")
         return math.log(value) + self.scale_log2[i] * math.log(2.0)
-
-
-def _parent_rows(prev, r: int, zero, join):
-    """The parents d[i-1][j-1] and d[i-1][j+k-1] of every entry of a row of
-    residue r, as two rows aligned with it, given the previous row.
-
-    i mod k >= 1 reads the same t and t+1; i mod k == 0 reads t-1 and t.
-    zero pads the missing parent, and join(a, b) concatenates rows.
-    """
-    if r >= 1:
-        return prev, join(prev[1:], zero)
-    return join(zero, prev), join(prev, zero)
 
 
 _ROW_CEILING = 20000
@@ -143,46 +104,6 @@ def build_scaled_table(
         if i in keep:
             rows[i] = cur.copy()
     return ScaledTable(k, i_max, scale_log2, rows, trace)
-
-
-def _exact_rows(k: int, i_max: int) -> list[list[Fraction]]:
-    rows = [[Fraction(1)]]
-    for i in range(1, i_max + 1):
-        r = i % k
-        p1, p2 = _parent_rows(rows[-1], r, [Fraction(0)], operator.add)
-        rows.append(
-            [weight_u_exact(k, i, r + k * t) * a + b for t, (a, b) in enumerate(zip(p1, p2))]
-        )
-    return rows
-
-
-_EXACT_ROW_LIMIT = 64
-
-
-def exact_transform_diagonal(k: int, n_max: int) -> list[int]:
-    """count(n) for n = 0..n_max recovered from the exact transform."""
-    _check(k, n_max)
-    if k * n_max > _EXACT_ROW_LIMIT:
-        raise ValueError(
-            f"too-large: exact transform capped at {_EXACT_ROW_LIMIT} rows, "
-            f"got {k * n_max}"
-        )
-    rows = _exact_rows(k, k * n_max)
-    out = []
-    for n in range(n_max + 1):
-        d00 = rows[k * n][0]
-        value = Fraction(math.factorial((k - 1) * n), (k - 1) ** (2 * (k - 1) * n)) * d00
-        if value.denominator != 1:
-            raise AssertionError(f"non-integral transform value at n={n}")
-        out.append(int(value))
-    return out
-
-
-def verify_transform(k: int, n_max: int) -> bool:
-    """Exact-transform route versus the direct recurrence diagonal."""
-    from ..tables import diagonal_sequence
-
-    return exact_transform_diagonal(k, n_max) == diagonal_sequence("relaxed", k, n_max)
 
 
 @dataclass

@@ -16,15 +16,12 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, paths, trees
-from .bijection import path_to_tree, tree_to_path
-from .oracle import DEFAULT_TREE_LIMITS, enumerate_relaxed
-from .paths import generate_paths, validate_path
+from . import __version__
 from .tables import KINDS, MAX_COUNT_DIGITS, CacheError, cached_diagonal, diagonal_sequence
-from .trees import is_compacted, validate_tree
 
-# The asym handlers import `.asym` when they run: it loads numpy, which
-# `count`, `convert` and the oracle and bijection scopes never use.
+# Each handler imports the modules it runs when it runs: `count` needs none
+# of the tree, path and oracle modules, and only the airy, scaled and bounds
+# modules of `.asym` load numpy.
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -68,7 +65,16 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _tree_limit(k: int) -> int:
+    from .oracle import DEFAULT_TREE_LIMITS
+
+    return DEFAULT_TREE_LIMITS.get(k, 2)
+
+
 def _verify_oracle(args) -> dict:
+    from .oracle import enumerate_relaxed
+    from .trees import is_compacted
+
     k, n_max = args.k, args.n_max
     rel = diagonal_sequence("relaxed", k, n_max)
     comp = diagonal_sequence("compacted", k, n_max)
@@ -98,6 +104,10 @@ def _verify_oracle(args) -> dict:
 
 
 def _verify_bijection(args) -> dict:
+    from . import paths, trees
+    from .bijection import path_to_tree, tree_to_path
+    from .oracle import enumerate_relaxed
+
     k, n_max = args.k, args.n_max
     tree_trips = path_trips = 0
     failures = []
@@ -111,7 +121,7 @@ def _verify_bijection(args) -> dict:
             if not ok:
                 failures.append({"n": n, "tree": trees.to_document(t)})
             tree_trips += 1
-        for p in generate_paths(k, n, limit=n_max):
+        for p in paths.generate_paths(k, n, limit=n_max):
             if tree_to_path(path_to_tree(p)) != p:
                 failures.append({"n": n, "path": paths.to_document(p)})
             path_trips += 1
@@ -128,7 +138,7 @@ def _verify_bijection(args) -> dict:
 
 
 def _verify_transform(args) -> dict:
-    from .asym.scaled import exact_transform_diagonal
+    from .asym.exact import exact_transform_diagonal
 
     k, n_max = args.k, args.n_max
     via_transform = exact_transform_diagonal(k, n_max)
@@ -149,7 +159,7 @@ def _verify_transform(args) -> dict:
 
 
 def _verify_ratio(args) -> dict:
-    from .asym import ratio_diagnostic
+    from .asym.predict import ratio_diagnostic
 
     k, n_max = args.k, args.n_max
     grid = [n for n in (50, 100, 200, 400, 600) if n <= n_max]
@@ -177,7 +187,7 @@ def _verify_ratio(args) -> dict:
 
 
 def _verify_p_ineq(args) -> dict:
-    from .asym import p_ratio_check
+    from .asym.exact import p_ratio_check
 
     k, n_max = args.k, args.n_max
     results = []
@@ -202,7 +212,7 @@ def _verify_p_ineq(args) -> dict:
 
 def _sweep(args, side: str):
     """verify_bounds over [i_min, i_max], eta defaulting to 1.05x the floor."""
-    from .asym import min_eta, verify_bounds
+    from .asym.bounds import min_eta, verify_bounds
 
     eta = args.eta if args.eta is not None else 1.05 * min_eta(args.k)
     return verify_bounds(side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
@@ -278,8 +288,8 @@ def _render_verify(report: dict) -> list[str]:
 
 # scope -> (default --n-max for a given k, runner); the order is --help's
 VERIFY_SCOPES = {
-    "oracle": (lambda k: DEFAULT_TREE_LIMITS.get(k, 2), _verify_oracle),
-    "bijection": (lambda k: DEFAULT_TREE_LIMITS.get(k, 2), _verify_bijection),
+    "oracle": (_tree_limit, _verify_oracle),
+    "bijection": (_tree_limit, _verify_bijection),
     "bounds-lower": (lambda k: 0, lambda args: _verify_bounds_scope(args, "lower")),
     "bounds-upper": (lambda k: 0, lambda args: _verify_bounds_scope(args, "upper")),
     "ratio": (lambda k: 600, _verify_ratio),
@@ -303,13 +313,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from . import paths, trees
+    from .bijection import path_to_tree, tree_to_path
+
     text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
     if args.direction == "tree-to-path":
         t = trees.loads(text)
         try:
             path = tree_to_path(t)
         except ValueError:  # only now walk again, to list every violation
-            for v in validate_tree(t).violations:
+            for v in trees.validate_tree(t).violations:
                 print(f"invalid tree: {v.code} at {list(v.labels)}", file=sys.stderr)
             return EXIT_USAGE
         out_text = paths.dumps(path)
@@ -318,7 +331,7 @@ def cmd_convert(args) -> int:
         try:
             tree = path_to_tree(p)
         except ValueError:
-            rep = validate_path(p)
+            rep = paths.validate_path(p)
             print(f"invalid path: {rep.code} at step {rep.index}", file=sys.stderr)
             return EXIT_USAGE
         out_text = trees.dumps(tree)
@@ -330,7 +343,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_asym_ratio(args) -> int:
-    from .asym import ratio_diagnostic
+    from .asym.predict import ratio_diagnostic
 
     ns = [int(part) for part in args.ns.split(",") if part.strip()]
     points = ratio_diagnostic(args.kind, args.k, ns, route=args.route)
@@ -360,7 +373,7 @@ def cmd_asym_bounds(args) -> int:
 
 
 def cmd_asym_profile(args) -> int:
-    from .asym import profile_check
+    from .asym.scaled import profile_check
 
     result = profile_check(args.k, args.i, j_limit=args.j_limit)
     w = _csv_writer(sys.stdout)

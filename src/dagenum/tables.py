@@ -18,11 +18,9 @@ The n-th diagonal entry, at (n(k-1), n), counts the structures of size n.
 
 from __future__ import annotations
 
-import hashlib
 import os
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 from math import log2, log10, sqrt
 from pathlib import Path
@@ -51,14 +49,11 @@ def _sub_coef(kind: str, m: int) -> int:
     return 0
 
 
-@dataclass
-class CountTable:
+class CountTable(namedtuple("CountTable", "kind k columns")):
     """The wedge up to column n_max, stored as columns[n][m] for
     0 <= m <= n/(k-1)."""
 
-    kind: str
-    k: int
-    columns: list[list[int]]
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:
@@ -144,8 +139,13 @@ def _columns(
         col = [1] * (m_top + 1)
         if m_in > 0:
             prev, back = window[-1], window[0]
+            v = 1
+            # a = 1 (relaxed, compacted) and sub[m] = 0 (relaxed) skip a product
             for m in range(1, m_in + 1):
-                col[m] = a * col[m - 1] + (m + 1) * prev[m] - sub[m] * back[m - 1]
+                v = (m + 1) * prev[m] + (v if a == 1 else a * v)
+                if sub[m]:
+                    v -= sub[m] * back[m - 1]
+                col[m] = v
         if m_top > max(m_in, 0):
             # the boundary row of 1s extends to negative n for the m = 1 cell
             col[m_top] = a * col[m_top - 1] - (sub[1] if m_top == 1 else 0)
@@ -230,8 +230,14 @@ _MAGIC = "ctab 1"
 _MAGIC_2 = "ctab 2"
 
 
+def _checksum(body: str) -> str:
+    import hashlib  # only the .ctab path loads it
+
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
+
+
 def _write_ctab(path, magic: str, kind: str, k: int, n_max: int, body: str) -> None:
-    checksum = hashlib.sha256(body.encode("ascii")).hexdigest()
+    checksum = _checksum(body)
     header = f"{magic}\nkind {kind}\nk {k}\nn_max {n_max}\nchecksum {checksum}\n"
     # Write beside the target and rename over it, so an interrupted save
     # leaves the previous cache file whole.
@@ -269,7 +275,7 @@ def _read_ctab(path) -> tuple[str, str, int, int, list[str]]:
         raise CacheError("cache-corrupt: malformed header fields") from None
     if kind not in KINDS or k < 2 or n_max < 0:
         raise CacheError("cache-corrupt: malformed header fields")
-    if hashlib.sha256(body.encode("ascii")).hexdigest() != checksum:
+    if _checksum(body) != checksum:
         raise CacheError("cache-corrupt: checksum mismatch")
     return head_lines[0], kind, k, n_max, body.splitlines()
 

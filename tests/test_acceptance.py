@@ -11,9 +11,9 @@ import json
 import time
 
 from dagenum import cli
-from dagenum.asym.airy import airy_ai, airy_root_a1
+from dagenum.asym.airy import airy_ai
 from dagenum.asym.bounds import min_eta, p_ratio_check, verify_bounds
-from dagenum.asym.predict import ratio_diagnostic
+from dagenum.asym.predict import airy_root_a1, ratio_diagnostic
 from dagenum.asym.scaled import exact_transform_diagonal
 from dagenum.bijection import path_to_tree, tree_to_path
 from dagenum.oracle import (

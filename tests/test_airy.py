@@ -5,13 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from dagenum.asym.airy import (
-    AIRY_DOMAIN_MIN,
-    _airy_ai_vec,
-    airy_ai,
-    airy_ai_prime,
-    airy_root_a1,
-)
+from dagenum.asym.airy import AIRY_DOMAIN_MIN, _airy_ai_vec, airy_ai, airy_ai_prime
+from dagenum.asym.predict import airy_root_a1
 
 mpmath.mp.dps = 40
 

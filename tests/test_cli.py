@@ -349,6 +349,14 @@ def test_verify_failure_exits_1(capsys):
     assert out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("command", [["verify", "--scope", "bounds-upper"], ["asym", "bounds", "--side", "upper"]])
+def test_infinite_eta_exits_2(capsys, command):
+    # eta * j**4 is inf * 0 = NaN at j = 0, and a NaN cell never counts as a violation
+    code, out, err = run(capsys, command + ["--k", "3", "--i-max", "200", "--eta", "inf"])
+    assert (code, out) == (2, "")
+    assert err == "error: eta-finite: inf is not finite\n"
+
+
 def test_convert_round_trip_files(capsys, tmp_path, fixtures_dir):
     tree_file = fixtures_dir / "ternary7_tree.json"
     path_file = fixtures_dir / "ternary7_path.json"
@@ -392,7 +400,6 @@ def test_convert_invalid_tree_exits_2(capsys, tmp_path):
 
 def test_convert_validates_valid_input_once(capsys, monkeypatch, fixtures_dir):
     import dagenum.bijection
-    import dagenum.cli
     import dagenum.paths
     import dagenum.trees
 
@@ -409,7 +416,7 @@ def test_convert_validates_valid_input_once(capsys, monkeypatch, fixtures_dir):
     monkeypatch.setattr(dagenum.bijection, "_walk", walk)
     check = counted("validate_path", dagenum.paths.validate_path)
     monkeypatch.setattr(dagenum.bijection, "validate_path", check)
-    monkeypatch.setattr(dagenum.cli, "validate_path", check)
+    monkeypatch.setattr(dagenum.paths, "validate_path", check)
     for direction, name in (("tree-to-path", "tree"), ("path-to-tree", "path")):
         doc = str(fixtures_dir / f"ternary7_{name}.json")
         assert run(capsys, ["convert", "--direction", direction, "--input", doc])[0] == 0

@@ -1,5 +1,6 @@
-"""Package-wide guards: what each command imports, the lazily loaded `asym`
-names, and no `assert` statement in the package (`python -O` drops them)."""
+"""Package-wide guards: what each command imports, the lazily loaded
+package names, and no `assert` statement in the package (`python -O` drops
+them)."""
 
 import ast
 import json
@@ -8,10 +9,12 @@ import pathlib
 import dagenum
 
 # Runs main() on each argv in the JSON list sys.argv[1], stdout swallowed,
-# then prints which of the modules that only `asym` needs got loaded.  It
-# must run in a fresh interpreter: the test process has numpy loaded.
+# then prints which of the modules named in the JSON list sys.argv[2] got
+# loaded.  It must run in a fresh interpreter: the test process has numpy
+# loaded.
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
+watched = json.loads(sys.argv[2])
 from dagenum.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -21,12 +24,12 @@ for argv in json.loads(sys.argv[1]):
             code = exc.code
     if code != 0:
         raise SystemExit(f"{argv} exited {code}")
-print(json.dumps([m for m in ("numpy", "dagenum.asym") if m in sys.modules]))
+print(json.dumps([m for m in watched if m in sys.modules]))
 """
 
 
-def _loaded_after(run_python, argvs: list[list[str]]) -> list[str]:
-    proc = run_python("-c", _RUN_COMMANDS, json.dumps(argvs))
+def _loaded_after(run_python, argvs: list[list[str]], watched=("numpy", "dagenum.asym")) -> list[str]:
+    proc = run_python("-c", _RUN_COMMANDS, json.dumps(argvs), json.dumps(watched))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -43,6 +46,33 @@ def test_exact_commands_do_not_load_numpy(run_python, fixtures_dir, tmp_path):
         ["verify", "--scope", "bijection", "--k", "2", "--n-max", "3"],
     ]
     assert _loaded_after(run_python, argvs) == []
+    # the Fraction-only asym commands load dagenum.asym, but not numpy
+    argvs = [
+        ["verify", "--scope", "transform", "--k", "2", "--n-max", "5"],
+        ["verify", "--scope", "p-ineq", "--k", "2", "--n-max", "3"],
+        ["asym", "ratio", "--k", "2", "--ns", "32,64", "--route", "exact"],
+    ]
+    assert _loaded_after(run_python, argvs) == ["dagenum.asym"]
+
+
+# modules a `count` or `--version` has no use for
+_UNUSED_BY_COUNT = [
+    "dagenum.trees",
+    "dagenum.paths",
+    "dagenum.bijection",
+    "dagenum.oracle",
+    "dagenum.asym",
+    "hashlib",
+    "dataclasses",
+]
+
+
+def test_count_and_version_load_no_unused_module(run_python):
+    # what a bare interpreter (site and sitecustomize included) already has
+    proc = run_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
+    bare = set(json.loads(proc.stdout))
+    for argv in (["--version"], ["count", "--kind", "dfa", "--k", "2", "--n-max", "20"]):
+        assert set(_loaded_after(run_python, [argv], _UNUSED_BY_COUNT)) <= bare, argv
 
 
 def test_asym_command_loads_numpy(run_python):

@@ -4,16 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dagenum.asym.scaled import (
-    _exact_rows,
-    build_scaled_table,
-    drift,
-    exact_transform_diagonal,
-    profile_check,
-    verify_transform,
-    weight_u,
-    weight_u_exact,
-)
+from dagenum.asym.exact import _exact_rows, exact_transform_diagonal, verify_transform, weight_u_exact
+from dagenum.asym.scaled import build_scaled_table, drift, profile_check, weight_u
 from dagenum.tables import diagonal_sequence
 
 

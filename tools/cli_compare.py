@@ -83,6 +83,8 @@ def commands() -> list[list[str]]:
             cmds.append(["verify", "--scope", f"bounds-{side}", "--k", "3", "--i-max", "80", "--format", fmt])
         cmds.append(["verify", "--scope", f"bounds-{side}", "--k", "2", "--i-max", "120", "--i0-limit", "1"])
         cmds.append(["verify", "--scope", f"bounds-{side}", "--k", "4", "--i-max", "60", "--eta", "2.5"])
+    # inf * 0**4 is NaN: a vacuous PASS before eta had to be finite
+    cmds.append(["verify", "--scope", "bounds-upper", "--k", "3", "--i-max", "200", "--eta", "inf"])
     cmds.append(["verify", "--scope", "nope", "--k", "2"])
     for direction, good, bad in (
         ("tree-to-path", "tree.json", ("bad-tree-arity.json", "bad-tree-spine-tag.json")),
