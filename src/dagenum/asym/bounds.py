@@ -38,8 +38,8 @@ import numpy as np
 
 from ..tables import DEFAULT_BYTE_BUDGET
 from .airy import _airy_ai_vec
-from .exact import p_ratio_check
-from .predict import airy_root_a1
+from .exact import p_ratio_check, weight_u
+from .predict import airy_root_a1, airy_scale, profile_argument
 
 __all__ = [
     "BoundParams",
@@ -113,7 +113,7 @@ class BoundParams:
 
     @property
     def B(self) -> float:
-        return (2.0 / (self.k - 1)) ** (1.0 / 3.0)
+        return airy_scale(self.k)
 
     @property
     def a1(self) -> float:
@@ -174,7 +174,7 @@ def _x_row(
         if side == "upper":
             br = br + quartic(p, i, jf)
         brackets.append(br)
-        args.append(p.a1 + p.B * (jf + 1.0) / i13)
+        args.append(profile_argument(p.k, i, jf))
     ai = _airy_ai_vec(np.concatenate(args))
     vals = np.concatenate(brackets) * ai
     if clamp:
@@ -210,13 +210,12 @@ def s_factor(side: str, k: int, i: int) -> float:
         raise ValueError(f"arity-k: {k}")
     if i < 1:
         raise ValueError(f"out-of-range: i={i} is below 1")
-    B = (2.0 / (k - 1)) ** (1.0 / 3.0)
     tail = float(i) ** (-7.0 / 6.0)
     if side == "lower":
         tail = -tail
     return k * (
         1.0
-        + airy_root_a1() / (B * float(i) ** (2.0 / 3.0))
+        + airy_root_a1() / (airy_scale(k) * float(i) ** (2.0 / 3.0))
         + (7 * k - 6) / (6.0 * i)
         + tail
     )
@@ -316,7 +315,7 @@ def _scan_block(
             if prev.shape[0] < cnt + k + 1:
                 raise AssertionError("parent row too short")
             jf = np.arange(cnt, dtype=np.float64)
-            u = (k - 1) ** 2 * (i - jf + k) / ((k - 1) * i + jf)
+            u = weight_u(k, i, jf)
             lhs = s_factor(side, k, i) * cur[1 : cnt + 1]
             rhs = u * prev[0:cnt] + prev[k : cnt + k]
             bad = (lhs > rhs) if clamp else (lhs < rhs)
@@ -333,7 +332,6 @@ def verify_bounds(
     eta: float,
     epsilon: float,
     i_range: tuple[int, int],
-    threads: Optional[int] = None,
     quartic: Optional[QuarticTerm] = None,
 ) -> BoundReport:
     """Exhaustively check one witness inequality on a finite index range.
@@ -343,9 +341,6 @@ def verify_bounds(
     report's first_verified_i0 is the least index beyond which the scanned
     range is violation-free (i_min when the whole range is clean); nothing
     is claimed about indices outside the range.
-
-    threads is accepted for compatibility and ignored: the scan runs in
-    the calling thread.
     """
     _check_side(side)
     params = BoundParams(k=k, eta=eta, epsilon=epsilon)

@@ -30,6 +30,11 @@ import operator
 from fractions import Fraction
 
 
+def weight_u(k: int, i: int, j):
+    """U(i, j) in floating point; j may be a numpy array of columns."""
+    return (k - 1) ** 2 * (i - j + k) / ((k - 1) * i + j)
+
+
 def weight_u_exact(k: int, i: int, j: int) -> Fraction:
     return Fraction((k - 1) ** 2 * (i - j + k), (k - 1) * i + j)
 
@@ -93,6 +98,10 @@ def verify_transform(k: int, n_max: int) -> bool:
     return exact_transform_diagonal(k, n_max) == diagonal_sequence("relaxed", k, n_max)
 
 
+# p_ratio_check's cap on kn: the suffix counts are exact rationals
+P_INEQ_KN_LIMIT = 60
+
+
 def p_ratio_check(k: int, n: int) -> dict:
     """Exact monotonicity checks for the weighted suffix-walk counts.
 
@@ -112,8 +121,10 @@ def p_ratio_check(k: int, n: int) -> dict:
     if n < 1:
         raise ValueError(f"out-of-range: n={n}")
     kn = k * n
-    if kn > 60:
-        raise ValueError(f"too-large: exact suffix counts capped at kn=60, got {kn}")
+    if kn > P_INEQ_KN_LIMIT:
+        raise ValueError(
+            f"too-large: exact suffix counts capped at kn={P_INEQ_KN_LIMIT}, got {kn}"
+        )
     cols: list[dict[int, Fraction]] = [dict() for _ in range(kn + 1)]
     cols[kn][0] = Fraction(1)
     for r in range(kn - 1, -1, -1):

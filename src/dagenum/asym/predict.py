@@ -15,8 +15,7 @@ shrink as n grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 _LN2 = math.log(2.0)
 _EXACT_FACT_LIMIT = 10_000
@@ -26,6 +25,17 @@ def airy_root_a1() -> float:
     """Largest (first negative) zero of Ai, a1 ~ -2.3381: DLMF Table 9.9.1,
     as its nearest double, -0x1.2b471a873adf9p+1."""
     return -2.338107410459767
+
+
+def airy_scale(k: int) -> float:
+    """B = (2/(k-1))^(1/3), the column scale of the Airy profile."""
+    return (2.0 / (k - 1)) ** (1.0 / 3.0)
+
+
+def profile_argument(k: int, i: int, j):
+    """a1 + B (j+1) / i^(1/3), the Airy profile's argument at column j of
+    row i; j may be a numpy array of columns."""
+    return airy_root_a1() + airy_scale(k) * (j + 1.0) / float(i) ** (1.0 / 3.0)
 
 
 def log_factorial(n: int) -> float:
@@ -69,8 +79,7 @@ def predictor_log(k: int, n: int) -> float:
     )
 
 
-@dataclass
-class RatioPoint:
+class RatioPoint(NamedTuple):
     n: int
     log_count: float
     predictor: float

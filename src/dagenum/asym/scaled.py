@@ -7,8 +7,8 @@ grow like k^i, so each float row is renormalized to a max-mantissa in
 the row shape is untouched (exact power-of-two scaling).
 
 profile_check compares a scaled row against the Airy shape
-Ai(a1 + B (j+1) / i^(1/3)), B = (2/(k-1))^(1/3), fitting a single scale
-factor by least squares.
+Ai(a1 + B (j+1) / i^(1/3)), B = (2/(k-1))^(1/3) (predict.profile_argument),
+fitting a single scale factor by least squares.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ import numpy as np
 
 from .airy import _airy_ai_vec
 # bench/layers.py and bench/spans.py look exact_transform_diagonal up here
-from .exact import _check, _parent_rows, exact_transform_diagonal
-from .predict import airy_root_a1
-
-
-def weight_u(k: int, i: int, j: int) -> float:
-    return (k - 1) ** 2 * (i - j + k) / ((k - 1) * i + j)
+from .exact import _check, _parent_rows, exact_transform_diagonal, weight_u
+from .predict import profile_argument
 
 
 def drift(k: int, i: int, j: int) -> float:
@@ -90,7 +86,7 @@ def build_scaled_table(
         r = i % k
         size = i // k + 1
         js = np.arange(size) * k + r
-        u = (k - 1) ** 2 * (i - js + k) / ((k - 1) * i + js)
+        u = weight_u(k, i, js)
         p1, p2 = _parent_rows(cur, r, 0.0, np.append)
         cur = u * p1 + p2
         mx = float(cur.max())
@@ -137,9 +133,7 @@ def profile_check(k: int, i: int, j_limit: int | None = None) -> ProfileResult:
         raise ValueError(f"empty-column: no admissible column below {j_limit}")
     js = js[sel]
     values = values[sel]
-    a1 = airy_root_a1()
-    b = (2.0 / (k - 1)) ** (1.0 / 3.0)
-    shape = _airy_ai_vec(a1 + b * (js + 1.0) / i ** (1.0 / 3.0))
+    shape = _airy_ai_vec(profile_argument(k, i, js))
     best_scale = float(np.dot(values, shape) / np.dot(shape, shape))
     fit = best_scale * shape
     sup_deviation = float(np.max(np.abs(values - fit)) / np.max(np.abs(fit)))

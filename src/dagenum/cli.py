@@ -32,43 +32,54 @@ CACHE_ENV = "DAGENUM_CACHE_DIR"
 
 ROUTE_TOLERANCE = 1e-6
 
-
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
-
-
-def _resolve_cache(flag: str | None) -> Path | None:
-    if flag:
-        return Path(flag)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
+# `verify --scope oracle|bijection` refuses a run that would enumerate more
+# trees (and, for bijection, paths) than this, projected from the exact r_n
+ENUMERATION_BUDGET = 10**6
 
 
-def cmd_count(args) -> int:
-    cache = _resolve_cache(args.cache_dir)
-    if cache is None:
-        seq = diagonal_sequence(args.kind, args.k, args.n_max)
-    else:
-        cache.mkdir(parents=True, exist_ok=True)
-        path = cache / f"{args.kind}-k{args.k}.ctab"
-        seq = cached_diagonal(args.kind, args.k, args.n_max, path)
-    if args.format == "json":
-        doc = {"kind": args.kind, "k": args.k, "counts": [[n, c] for n, c in enumerate(seq)]}
-        json.dump(doc, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        w = _csv_writer(sys.stdout)
-        if args.format == "csv":
-            w.writerow(["n", "count"])
-        for n, c in enumerate(seq):
-            w.writerow([n, c])
+def _write_csv(header: list[str] | None, rows) -> int:
+    w = csv.writer(sys.stdout, lineterminator="\n")
+    if header:
+        w.writerow(header)
+    w.writerows(rows)
     return EXIT_OK
 
 
-def _tree_limit(k: int) -> int:
-    from .oracle import DEFAULT_TREE_LIMITS
+def _print_json(doc: dict) -> None:
+    json.dump(doc, sys.stdout, sort_keys=True)
+    print()
 
-    return DEFAULT_TREE_LIMITS.get(k, 2)
+
+def cmd_count(args) -> int:
+    cache = args.cache_dir or os.environ.get(CACHE_ENV)  # the flag overrides the variable
+    if not cache:
+        seq = diagonal_sequence(args.kind, args.k, args.n_max)
+    else:
+        path = Path(cache) / f"{args.kind}-k{args.k}.ctab"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        seq = cached_diagonal(args.kind, args.k, args.n_max, path)
+    if args.format == "json":
+        counts = [[n, c] for n, c in enumerate(seq)]
+        _print_json({"kind": args.kind, "k": args.k, "counts": counts})
+        return EXIT_OK
+    return _write_csv(["n", "count"] if args.format == "csv" else None, enumerate(seq))
+
+
+def _tree_limit(k: int) -> int:
+    from .oracle import _tree_limit
+
+    return _tree_limit(k, None)
+
+
+def _check_enumeration(what: str, count: int) -> None:
+    if count > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"too-large: {count} {what} to enumerate, over the budget of {ENUMERATION_BUDGET}"
+        )
+
+
+def _rows_report(n_max: int, results: list[dict]) -> dict:
+    return {"n_max": n_max, "results": results, "ok": all(r["ok"] for r in results)}
 
 
 def _verify_oracle(args) -> dict:
@@ -78,6 +89,7 @@ def _verify_oracle(args) -> dict:
     k, n_max = args.k, args.n_max
     rel = diagonal_sequence("relaxed", k, n_max)
     comp = diagonal_sequence("compacted", k, n_max)
+    _check_enumeration("trees", sum(rel[1:]))
     results = []
     for n in range(1, n_max + 1):
         r_count = c_count = 0
@@ -94,13 +106,18 @@ def _verify_oracle(args) -> dict:
                 "ok": r_count == rel[n] and c_count == comp[n],
             }
         )
-    return {
-        "scope": "oracle",
-        "k": k,
-        "n_max": n_max,
-        "results": results,
-        "ok": all(r["ok"] for r in results),
-    }
+    return _rows_report(n_max, results)
+
+
+def _render_oracle(report: dict):
+    for row in report["results"]:
+        yield (
+            f"n={row['n']} relaxed {row['relaxed_oracle']}/{row['relaxed']} "
+            f"compacted {row['compacted_oracle']}/{row['compacted']} "
+            + ("ok" if row["ok"] else "MISMATCH")
+        )
+    matched = sum(1 for r in report["results"] if r["ok"])
+    yield f"oracle: {matched}/{len(report['results'])} matched"
 
 
 def _verify_bijection(args) -> dict:
@@ -109,6 +126,8 @@ def _verify_bijection(args) -> dict:
     from .oracle import enumerate_relaxed
 
     k, n_max = args.k, args.n_max
+    if n_max >= 0:  # each tree, and each path, makes one round trip
+        _check_enumeration("trees and paths", 2 * sum(diagonal_sequence("relaxed", k, n_max)))
     tree_trips = path_trips = 0
     failures = []
     for n in range(n_max + 1):
@@ -126,8 +145,6 @@ def _verify_bijection(args) -> dict:
                 failures.append({"n": n, "path": paths.to_document(p)})
             path_trips += 1
     return {
-        "scope": "bijection",
-        "k": k,
         "n_max": n_max,
         "tree_round_trips": tree_trips,
         "path_round_trips": path_trips,
@@ -135,6 +152,13 @@ def _verify_bijection(args) -> dict:
         "failure_count": len(failures),
         "ok": not failures,
     }
+
+
+def _render_bijection(report: dict):
+    yield f"tree->path->tree round trips: {report['tree_round_trips']}"
+    yield f"path->tree->path round trips: {report['path_round_trips']}"
+    if report["first_failure"] is not None:
+        yield "first failure: " + json.dumps(report["first_failure"], sort_keys=True)
 
 
 def _verify_transform(args) -> dict:
@@ -149,8 +173,6 @@ def _verify_transform(args) -> dict:
         if via_transform[n] != direct[n]
     ]
     return {
-        "scope": "transform",
-        "k": k,
         "n_max": n_max,
         "checked": n_max + 1,
         "first_mismatch": mismatches[0] if mismatches else None,
@@ -158,26 +180,27 @@ def _verify_transform(args) -> dict:
     }
 
 
+def _render_transform(report: dict):
+    if report["ok"]:
+        yield f"transform identity exact for n=0..{report['n_max']} ({report['checked']} values)"
+    else:
+        yield "transform mismatch: " + json.dumps(report["first_mismatch"], sort_keys=True)
+
+
 def _verify_ratio(args) -> dict:
     from .asym.predict import ratio_diagnostic
 
     k, n_max = args.k, args.n_max
-    grid = [n for n in (50, 100, 200, 400, 600) if n <= n_max]
-    if not grid:
-        grid = [max(1, n_max)]
+    grid = [n for n in (50, 100, 200, 400, 600) if n <= n_max] or [max(1, n_max)]
     exact_pts = ratio_diagnostic("relaxed", k, grid, route="exact")
     scaled_pts = ratio_diagnostic("relaxed", k, grid, route="scaled")
-    results = []
-    worst = 0.0
-    for e, s in zip(exact_pts, scaled_pts):
-        gap = abs(e.log_ratio - s.log_ratio)
-        worst = max(worst, gap)
-        results.append(
-            {"n": e.n, "exact": e.log_ratio, "scaled": s.log_ratio, "gap": gap}
-        )
+    results = [
+        {"n": e.n, "exact": e.log_ratio, "scaled": s.log_ratio,
+         "gap": abs(e.log_ratio - s.log_ratio)}
+        for e, s in zip(exact_pts, scaled_pts)
+    ]
+    worst = max([0.0] + [r["gap"] for r in results])
     return {
-        "scope": "ratio",
-        "k": k,
         "grid": grid,
         "tolerance": ROUTE_TOLERANCE,
         "worst_gap": worst,
@@ -186,28 +209,30 @@ def _verify_ratio(args) -> dict:
     }
 
 
+def _render_ratio(report: dict):
+    for row in report["results"]:
+        yield f"n={row['n']} exact={row['exact']!r} scaled={row['scaled']!r} gap={row['gap']!r}"
+    yield f"worst route gap {report['worst_gap']!r} (tolerance {report['tolerance']!r})"
+
+
 def _verify_p_ineq(args) -> dict:
-    from .asym.exact import p_ratio_check
+    from .asym.exact import P_INEQ_KN_LIMIT, p_ratio_check
 
     k, n_max = args.k, args.n_max
-    results = []
-    for n in range(1, n_max + 1):
-        rep = p_ratio_check(k, n)
-        results.append(
-            {
-                "n": n,
-                "pairs_checked": rep["pairs_checked"],
-                "first_violation": rep["first_violation"],
-                "ok": rep["ok"],
-            }
+    if k >= 2 and k * n_max > P_INEQ_KN_LIMIT:
+        p_ratio_check(k, P_INEQ_KN_LIMIT // k + 1)  # the first n over the cap: raises at once
+    results = [
+        {"n": n, **{key: v for key, v in p_ratio_check(k, n).items() if key != "kn"}}
+        for n in range(1, n_max + 1)
+    ]
+    return _rows_report(n_max, results)
+
+
+def _render_p_ineq(report: dict):
+    for row in report["results"]:
+        yield f"n={row['n']} pairs={row['pairs_checked']} " + (
+            "ok" if row["ok"] else f"violation {row['first_violation']}"
         )
-    return {
-        "scope": "p-ineq",
-        "k": k,
-        "n_max": n_max,
-        "results": results,
-        "ok": all(r["ok"] for r in results),
-    }
 
 
 def _sweep(args, side: str):
@@ -218,97 +243,54 @@ def _sweep(args, side: str):
     return verify_bounds(side, args.k, eta, args.epsilon, (args.i_min, args.i_max))
 
 
-def _verify_bounds_scope(args, side: str) -> dict:
-    report = _sweep(args, side)
+def _verify_bounds(args) -> dict:
+    report = _sweep(args, args.scope.removeprefix("bounds-"))
     i0_limit = args.i0_limit if args.i0_limit is not None else args.i_max
     doc = report.to_dict()
-    doc["scope"] = f"bounds-{side}"
-    doc["violation_count"] = len(report.violations)
-    doc["violations"] = doc["violations"][:10]
-    doc["i0_limit"] = i0_limit
-    doc["ok"] = report.first_verified_i0 <= i0_limit
+    doc.update(
+        violation_count=len(report.violations),
+        violations=doc["violations"][:10],
+        i0_limit=i0_limit,
+        ok=report.first_verified_i0 <= i0_limit,
+    )
     return doc
 
 
-def _render_verify(report: dict) -> list[str]:
-    scope = report["scope"]
-    lines = []
-    if scope == "oracle":
-        for row in report["results"]:
-            lines.append(
-                f"n={row['n']} relaxed {row['relaxed_oracle']}/{row['relaxed']} "
-                f"compacted {row['compacted_oracle']}/{row['compacted']} "
-                + ("ok" if row["ok"] else "MISMATCH")
-            )
-        matched = sum(1 for r in report["results"] if r["ok"])
-        lines.append(f"oracle: {matched}/{len(report['results'])} matched")
-    elif scope == "bijection":
-        lines.append(f"tree->path->tree round trips: {report['tree_round_trips']}")
-        lines.append(f"path->tree->path round trips: {report['path_round_trips']}")
-        if report["first_failure"] is not None:
-            lines.append(
-                "first failure: " + json.dumps(report["first_failure"], sort_keys=True)
-            )
-    elif scope == "transform":
-        if report["ok"]:
-            lines.append(
-                f"transform identity exact for n=0..{report['n_max']} "
-                f"({report['checked']} values)"
-            )
-        else:
-            lines.append(
-                "transform mismatch: " + json.dumps(report["first_mismatch"], sort_keys=True)
-            )
-    elif scope == "ratio":
-        for row in report["results"]:
-            lines.append(
-                f"n={row['n']} exact={row['exact']!r} scaled={row['scaled']!r} "
-                f"gap={row['gap']!r}"
-            )
-        lines.append(
-            f"worst route gap {report['worst_gap']!r} (tolerance {report['tolerance']!r})"
-        )
-    elif scope == "p-ineq":
-        for row in report["results"]:
-            lines.append(
-                f"n={row['n']} pairs={row['pairs_checked']} "
-                + ("ok" if row["ok"] else f"violation {row['first_violation']}")
-            )
-    else:
-        lines.append(
-            f"{report['side']} bounds k={report['k']}: scanned i in "
-            f"[{report['i_min']}, {report['i_max']}], "
-            f"violations={report['violation_count']}, "
-            f"first verified i0={report['first_verified_i0']} "
-            f"(limit {report['i0_limit']})"
-        )
-    lines.append("PASS" if report["ok"] else "FAIL")
-    return lines
+def _render_bounds(report: dict):
+    yield (
+        f"{report['side']} bounds k={report['k']}: scanned i in "
+        f"[{report['i_min']}, {report['i_max']}], "
+        f"violations={report['violation_count']}, "
+        f"first verified i0={report['first_verified_i0']} "
+        f"(limit {report['i0_limit']})"
+    )
 
 
-# scope -> (default --n-max for a given k, runner); the order is --help's
+# scope -> (default --n-max for a given k, runner, text renderer); the order
+# is --help's.  A runner returns the report without scope and k; a renderer
+# yields its text lines before the PASS/FAIL line.
 VERIFY_SCOPES = {
-    "oracle": (_tree_limit, _verify_oracle),
-    "bijection": (_tree_limit, _verify_bijection),
-    "bounds-lower": (lambda k: 0, lambda args: _verify_bounds_scope(args, "lower")),
-    "bounds-upper": (lambda k: 0, lambda args: _verify_bounds_scope(args, "upper")),
-    "ratio": (lambda k: 600, _verify_ratio),
-    "p-ineq": (lambda k: 60 // k, _verify_p_ineq),
-    "transform": (lambda k: 30 // k, _verify_transform),
+    "oracle": (_tree_limit, _verify_oracle, _render_oracle),
+    "bijection": (_tree_limit, _verify_bijection, _render_bijection),
+    "bounds-lower": (lambda k: 0, _verify_bounds, _render_bounds),
+    "bounds-upper": (lambda k: 0, _verify_bounds, _render_bounds),
+    "ratio": (lambda k: 600, _verify_ratio, _render_ratio),
+    "p-ineq": (lambda k: 60 // k, _verify_p_ineq, _render_p_ineq),
+    "transform": (lambda k: 30 // k, _verify_transform, _render_transform),
 }
 
 
 def cmd_verify(args) -> int:
-    default_n_max, run = VERIFY_SCOPES[args.scope]
+    default_n_max, run, render = VERIFY_SCOPES[args.scope]
     if args.n_max is None:
         args.n_max = default_n_max(args.k)
-    report = run(args)
+    report = {"scope": args.scope, "k": args.k, **run(args)}
     if args.format == "json":
-        json.dump(report, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        _print_json(report)
     else:
-        for line in _render_verify(report):
+        for line in render(report):
             print(line)
+        print("PASS" if report["ok"] else "FAIL")
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
@@ -347,40 +329,35 @@ def cmd_asym_ratio(args) -> int:
 
     ns = [int(part) for part in args.ns.split(",") if part.strip()]
     points = ratio_diagnostic(args.kind, args.k, ns, route=args.route)
-    w = _csv_writer(sys.stdout)
-    w.writerow(["n", "log_ratio", "route"])
-    for pt in points:
-        w.writerow([pt.n, pt.log_ratio, pt.route])
-    return EXIT_OK
+    rows = ([pt.n, pt.log_ratio, pt.route] for pt in points)
+    return _write_csv(["n", "log_ratio", "route"], rows)
 
 
 def cmd_asym_bounds(args) -> int:
-    report = _sweep(args, args.side)
-    w = _csv_writer(sys.stdout)
-    w.writerow(["side", "k", "eta", "epsilon", "i0", "scanned_i_max", "violations"])
-    w.writerow(
-        [
-            report.side,
-            report.params.k,
-            report.params.eta,
-            report.params.epsilon,
-            report.first_verified_i0,
-            report.i_max,
-            len(report.violations),
-        ]
-    )
-    return EXIT_OK
+    doc = _sweep(args, args.side).to_dict()
+    row = [doc[key] for key in ("side", "k", "eta", "epsilon", "first_verified_i0", "i_max")]
+    header = ["side", "k", "eta", "epsilon", "i0", "scanned_i_max", "violations"]
+    return _write_csv(header, [row + [len(doc["violations"])]])
 
 
 def cmd_asym_profile(args) -> int:
     from .asym.scaled import profile_check
 
     result = profile_check(args.k, args.i, j_limit=args.j_limit)
-    w = _csv_writer(sys.stdout)
-    w.writerow(["i", "j", "d_scaled", "airy_fit"])
-    for i, j, d_scaled, airy_fit in result.rows:
-        w.writerow([i, j, d_scaled, airy_fit])
-    return EXIT_OK
+    return _write_csv(["i", "j", "d_scaled", "airy_fit"], result.rows)
+
+
+def _add_sweep_flags(p, eta_help: str, i_max: int, i0_limit: bool = False) -> None:
+    """The sweep flags `verify` and `asym bounds` share, in --help's order."""
+    p.add_argument("--eta", type=float, default=None, help=eta_help)
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--i-min", type=int, default=2)
+    p.add_argument("--i-max", type=int, default=i_max)
+    if i0_limit:
+        p.add_argument("--i0-limit", type=int, default=None,
+                       help="fail if the verified threshold exceeds this")
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored; sweeps run in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,15 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scope", choices=VERIFY_SCOPES, required=True)
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--eta", type=float, default=None,
-                          help="bounds scopes: defaults to 1.05x the floor")
-    p_verify.add_argument("--epsilon", type=float, default=0.1)
-    p_verify.add_argument("--i-min", type=int, default=2)
-    p_verify.add_argument("--i-max", type=int, default=3000)
-    p_verify.add_argument("--i0-limit", type=int, default=None,
-                          help="fail if the verified threshold exceeds this")
-    p_verify.add_argument("--threads", type=int, default=None,
-                          help="accepted and ignored; sweeps run in one thread")
+    _add_sweep_flags(p_verify, "bounds scopes: defaults to 1.05x the floor", 3000, i0_limit=True)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -448,13 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = asub.add_parser("bounds", help="witness-inequality sweep")
     p_bounds.add_argument("--side", choices=("lower", "upper"), required=True)
     p_bounds.add_argument("--k", type=int, required=True)
-    p_bounds.add_argument("--eta", type=float, default=None,
-                          help="defaults to 1.05x the floor")
-    p_bounds.add_argument("--epsilon", type=float, default=0.1)
-    p_bounds.add_argument("--i-min", type=int, default=2)
-    p_bounds.add_argument("--i-max", type=int, default=2000)
-    p_bounds.add_argument("--threads", type=int, default=None,
-                          help="accepted and ignored; sweeps run in one thread")
+    _add_sweep_flags(p_bounds, "defaults to 1.05x the floor", 2000)
     p_bounds.set_defaults(func=cmd_asym_bounds)
 
     p_profile = asub.add_parser("profile", help="Airy-shape fit of one row")
@@ -477,10 +440,7 @@ def main(argv=None) -> int:
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_CACHE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

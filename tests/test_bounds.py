@@ -14,7 +14,7 @@ from dagenum.asym.bounds import (
     s_factor,
     verify_bounds,
 )
-from dagenum.asym.scaled import weight_u
+from dagenum.asym.exact import weight_u
 from dagenum.tables import DEFAULT_BYTE_BUDGET
 
 
@@ -127,19 +127,12 @@ def test_verify_bounds_reports():
     assert doc["violations"] == [list(v) for v in report.violations]
 
 
-def test_verify_bounds_thread_invariance():
-    eta = 1.05 * min_eta(2)
-    one = verify_bounds("upper", 2, eta, 0.1, (2, 400), threads=1)
-    four = verify_bounds("upper", 2, eta, 0.1, (2, 400), threads=4)
-    assert one.to_dict() == four.to_dict()
-
-
 def test_verify_bounds_starts_no_threads(monkeypatch):
     def refuse(self):
         raise RuntimeError("verify_bounds started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    report = verify_bounds("lower", 3, 1.05 * min_eta(3), 0.1, (2, 40), threads=8)
+    report = verify_bounds("lower", 3, 1.05 * min_eta(3), 0.1, (2, 40))
     assert report.first_verified_i0 == 8
 
 

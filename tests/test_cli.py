@@ -349,6 +349,43 @@ def test_verify_failure_exits_1(capsys):
     assert out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("scope", ["oracle", "bijection"])
+def test_oversized_enumeration_exits_2_at_once(run_python, scope):
+    # k = 2 up to n = 12 is 3.76e12 trees: a run that starts enumerating
+    # them does not end, and the timeout fails it
+    argv = ["verify", "--scope", scope, "--k", "2", "--n-max", "12"]
+    started = time.perf_counter()
+    proc = run_python("-m", "dagenum.cli", *argv, timeout=10)
+    assert time.perf_counter() - started < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: too-large: ")
+
+
+@pytest.mark.parametrize("k,largest", [(2, 7), (3, 5), (4, 4)])
+@pytest.mark.parametrize("scope", ["oracle", "bijection"])
+def test_enumeration_budget_edge(capsys, monkeypatch, scope, k, largest):
+    # empty enumerators: only the projection decides, and nothing is built
+    monkeypatch.setattr("dagenum.oracle.enumerate_relaxed", lambda *a, **kw: iter(()))
+    monkeypatch.setattr("dagenum.paths.generate_paths", lambda *a, **kw: iter(()))
+    argv = ["verify", "--scope", scope, "--k", str(k), "--n-max"]
+    assert run(capsys, argv + [str(largest)])[0] != 2
+    code, out, err = run(capsys, argv + [str(largest + 1)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: too-large: ") and "over the budget of 1000000" in err
+
+
+def test_p_ineq_over_the_cap_checks_no_size(capsys, monkeypatch):
+    from dagenum.asym import exact
+
+    sizes = []
+    check = exact.p_ratio_check
+    monkeypatch.setattr(exact, "p_ratio_check", lambda k, n: sizes.append(n) or check(k, n))
+    code, out, err = run(capsys, ["verify", "--scope", "p-ineq", "--k", "2", "--n-max", "40"])
+    assert (code, out) == (2, "")
+    assert err == "error: too-large: exact suffix counts capped at kn=60, got 62\n"
+    assert sizes == [31]  # only the call that refuses; none of n = 1..30 is computed
+
+
 @pytest.mark.parametrize("command", [["verify", "--scope", "bounds-upper"], ["asym", "bounds", "--side", "upper"]])
 def test_infinite_eta_exits_2(capsys, command):
     # eta * j**4 is inf * 0 = NaN at j = 0, and a NaN cell never counts as a violation

@@ -2,9 +2,9 @@
 
     python3 tools/cli_compare.py [--base REF]
 
-Checks REF (default HEAD) out into a temporary `git worktree`, runs a fixed
-list of commands once with that tree's src/ and once with this checkout's
-src/, and compares stdout, stderr and exit code command by command.  Each
+Extracts REF's src/ (default HEAD) into a temporary directory with `git
+archive`, runs a fixed list of commands once with that src/ and once with
+this checkout's src/, and compares stdout, stderr and exit code command by command.  Each
 side runs in its own empty working directory holding the same input files,
 and every path on a command line is relative, so the two sides see the same
 bytes.  Commands run in list order, so a cache build precedes its reads.
@@ -15,10 +15,12 @@ differs.  Run from anywhere inside the checkout; takes a few minutes.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -50,7 +52,9 @@ def inputs() -> dict[str, str]:
 
 
 def commands() -> list[list[str]]:
-    cmds: list[list[str]] = [["--version"], [], ["count", "--help"], ["verify", "--help"]]
+    cmds: list[list[str]] = [["--version"], []]
+    for page in ("count", "verify", "convert", "asym", "asym ratio", "asym bounds", "asym profile"):
+        cmds.append([*page.split(), "--help"])
     for kind in ("relaxed", "compacted", "dfa"):
         for k in (2, 3, 4):
             for fmt in ("plain", "csv", "json"):
@@ -78,6 +82,7 @@ def commands() -> list[list[str]]:
         for k in ("2", "3"):
             for fmt in ("text", "json"):
                 cmds.append(["verify", "--scope", scope, "--k", k, "--n-max", n_max, "--format", fmt])
+    cmds.append(["verify", "--scope", "p-ineq", "--k", "2", "--n-max", "40"])  # over kn = 60
     for side in ("lower", "upper"):
         for fmt in ("text", "json"):
             cmds.append(["verify", "--scope", f"bounds-{side}", "--k", "3", "--i-max", "80", "--format", fmt])
@@ -136,14 +141,15 @@ def main() -> int:
     cmds = commands()
     with tempfile.TemporaryDirectory(prefix="cli-compare-") as tmp:
         tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), base], cwd=ROOT, check=True)
-        try:
-            (Path(tmp) / "run-base").mkdir()
-            (Path(tmp) / "run-head").mkdir()
-            before = run_side(tree / "src", Path(tmp) / "run-base", cmds)
-            after = run_side(ROOT / "src", Path(tmp) / "run-head", cmds)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True)
+        archive = subprocess.run(
+            ["git", "archive", base, "src"], cwd=ROOT, capture_output=True, check=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree)
+        (Path(tmp) / "run-base").mkdir()
+        (Path(tmp) / "run-head").mkdir()
+        before = run_side(tree / "src", Path(tmp) / "run-base", cmds)
+        after = run_side(ROOT / "src", Path(tmp) / "run-head", cmds)
     differ = 0
     for argv, old, new in zip(cmds, before, after):
         parts = [name for name, a, b in zip(("exit", "stdout", "stderr"), old, new) if a != b]
