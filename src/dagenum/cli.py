@@ -126,23 +126,33 @@ def _verify_bijection(args) -> dict:
     from .oracle import enumerate_relaxed
 
     k, n_max = args.k, args.n_max
-    if n_max >= 0:  # each tree, and each path, makes one round trip
-        _check_enumeration("trees and paths", 2 * sum(diagonal_sequence("relaxed", k, n_max)))
+    # each tree, and each path, makes one round trip
+    _check_enumeration("trees and paths", 2 * sum(diagonal_sequence("relaxed", k, n_max)))
     tree_trips = path_trips = 0
     failures = []
     for n in range(n_max + 1):
+        # the steps of f(t) for each tree t with g(f(t)) == t: for such a
+        # path p = f(t), f(g(p)) = f(t) = p, so its own trip is already made
+        held = set()
         for t in enumerate_relaxed(k, n, limit=n_max):
-            p = tree_to_path(t)
             try:
+                p = tree_to_path(t)
                 ok = path_to_tree(p) == t
-            except ValueError:  # p is not a valid path
+            except ValueError:  # t or p is not valid
                 ok = False
-            if not ok:
+            if ok:
+                held.add(p.steps)
+            else:
                 failures.append({"n": n, "tree": trees.to_document(t)})
             tree_trips += 1
         for p in paths.generate_paths(k, n, limit=n_max):
-            if tree_to_path(path_to_tree(p)) != p:
-                failures.append({"n": n, "path": paths.to_document(p)})
+            if p.steps not in held:
+                try:
+                    ok = tree_to_path(path_to_tree(p)) == p
+                except ValueError:
+                    ok = False
+                if not ok:
+                    failures.append({"n": n, "path": paths.to_document(p)})
             path_trips += 1
     return {
         "n_max": n_max,
@@ -327,7 +337,12 @@ def cmd_convert(args) -> int:
 def cmd_asym_ratio(args) -> int:
     from .asym.predict import ratio_diagnostic
 
-    ns = [int(part) for part in args.ns.split(",") if part.strip()]
+    ns = []
+    for part in filter(str.strip, args.ns.split(",")):
+        try:
+            ns.append(int(part))
+        except ValueError:
+            raise ValueError(f"ns-format: {part!r} is not an integer") from None
     points = ratio_diagnostic(args.kind, args.k, ns, route=args.route)
     rows = ([pt.n, pt.log_ratio, pt.route] for pt in points)
     return _write_csv(["n", "log_ratio", "route"], rows)

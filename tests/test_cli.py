@@ -314,6 +314,97 @@ def test_verify_bijection_json(capsys):
     assert doc["failure_count"] == 0
 
 
+def _both_loops(k, n_max):
+    """The bijection report fields from an explicit round trip of every tree
+    and every path, through the functions dagenum.bijection holds now."""
+    from dagenum import bijection, paths, trees
+    from dagenum.oracle import enumerate_relaxed
+
+    def trip(there, back, x):
+        try:
+            return back(there(x)) == x
+        except ValueError:
+            return False
+
+    f, g = bijection.tree_to_path, bijection.path_to_tree
+    tree_trips = path_trips = 0
+    failures = []
+    for n in range(n_max + 1):
+        for t in enumerate_relaxed(k, n, limit=n_max):
+            tree_trips += 1
+            if not trip(f, g, t):
+                failures.append({"n": n, "tree": trees.to_document(t)})
+        for p in paths.generate_paths(k, n, limit=n_max):
+            path_trips += 1
+            if not trip(g, f, p):
+                failures.append({"n": n, "path": paths.to_document(p)})
+    return {
+        "tree_round_trips": tree_trips,
+        "path_round_trips": path_trips,
+        "failure_count": len(failures),
+        "first_failure": failures[0] if failures else None,
+    }
+
+
+def _corrupted(which, x0, wrong):
+    """A bijection function that returns wrong for x0 (raises ValueError if
+    wrong is None) and is itself elsewhere."""
+    from dagenum import bijection
+
+    real = getattr(bijection, which)
+
+    def fake(x):
+        if x != x0:
+            return real(x)
+        if wrong is None:
+            raise ValueError("corrupted")
+        return wrong
+
+    return fake
+
+
+@pytest.mark.parametrize("which", ["tree_to_path", "path_to_tree"])
+@pytest.mark.parametrize("raises", [False, True], ids=["wrong-result", "raises"])
+def test_verify_bijection_reports_what_both_loops_find(capsys, monkeypatch, which, raises):
+    from dagenum import bijection
+    from dagenum.oracle import enumerate_relaxed
+
+    t0, t1 = list(enumerate_relaxed(2, 3))[4:6]
+    p0, p1 = bijection.tree_to_path(t0), bijection.tree_to_path(t1)
+    if which == "tree_to_path":  # t0 -> p1, the path of another tree
+        fake = _corrupted(which, t0, None if raises else p1)
+    else:  # p0 -> t1, another tree
+        fake = _corrupted(which, p0, None if raises else t1)
+    monkeypatch.setattr(bijection, which, fake)
+    want = _both_loops(2, 3)
+    assert want["failure_count"] == 2  # t0's trip and p0's trip
+    code, out, _ = run(capsys, ["verify", "--scope", "bijection", "--k", "2", "--n-max", "3", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert {key: doc[key] for key in want} == json.loads(json.dumps(want))
+
+
+def test_verify_bijection_converts_each_object_once(capsys, monkeypatch):
+    from dagenum import bijection
+
+    calls = {"tree_to_path": 0, "path_to_tree": 0}
+
+    def counted(name, real):
+        def call(x):
+            calls[name] += 1
+            return real(x)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(bijection, name, counted(name, getattr(bijection, name)))
+    code, out, _ = run(capsys, ["verify", "--scope", "bijection", "--k", "2", "--n-max", "3", "--format", "json"])
+    doc = json.loads(out)
+    assert code == 0 and doc["tree_round_trips"] == doc["path_round_trips"] == 1 + 1 + 3 + 16
+    # every path is the image of a tree that made its trip: no path converts again
+    assert calls == {"tree_to_path": 21, "path_to_tree": 21}
+
+
 def test_verify_transform(capsys):
     code, out, _ = run(capsys, ["verify", "--scope", "transform", "--k", "2", "--n-max", "8"])
     assert code == 0

@@ -46,14 +46,15 @@ def test_exact_commands_do_not_load_numpy(run_python, fixtures_dir, tmp_path):
         ["verify", "--scope", "bijection", "--k", "2", "--n-max", "3"],
     ]
     assert _loaded_after(run_python, argvs) == []
-    # the Fraction-only asym commands load dagenum.asym, but neither numpy
-    # nor dataclasses (with its inspect, ast, dis and tokenize)
+    # the exact asym commands load dagenum.asym, but not numpy, not fractions
+    # (they run on integers) and not dataclasses (with its inspect, ast, dis
+    # and tokenize)
     argvs = [
         ["verify", "--scope", "transform", "--k", "2", "--n-max", "5"],
         ["verify", "--scope", "p-ineq", "--k", "2", "--n-max", "3"],
         ["asym", "ratio", "--k", "2", "--ns", "32,64", "--route", "exact"],
     ]
-    watched = ("numpy", "dagenum.asym", "dataclasses")
+    watched = ("numpy", "dagenum.asym", "dataclasses", "fractions")
     assert _loaded_after(run_python, argvs, watched) == ["dagenum.asym"]
 
 

@@ -4,15 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dagenum.asym.exact import (
-    _exact_rows,
-    exact_transform_diagonal,
-    verify_transform,
-    weight_u,
-    weight_u_exact,
-)
+from dagenum.asym.exact import exact_transform_diagonal, verify_transform, weight_u
 from dagenum.asym.scaled import build_scaled_table, drift, profile_check
 from dagenum.tables import diagonal_sequence
+from exact_reference import exact_rows, weight_u_exact
 
 
 def test_weight_float_matches_exact():
@@ -54,7 +49,7 @@ def test_exact_transform_guards():
 def test_scaled_rows_track_exact_rows():
     k, i_max = 3, 15
     table = build_scaled_table(k, i_max, keep_rows=range(i_max + 1))
-    exact = _exact_rows(k, i_max)
+    exact = exact_rows(k, i_max)
     for i in range(i_max + 1):
         row = table.row(i) * math.ldexp(1.0, table.scale_log2[i])
         want = np.array([float(v) for v in exact[i]])
@@ -64,7 +59,7 @@ def test_scaled_rows_track_exact_rows():
 def test_d_log_and_trace():
     k = 2
     table = build_scaled_table(k, 12, keep_rows=[12])
-    exact = _exact_rows(k, 12)
+    exact = exact_rows(k, 12)
     assert table.d_log(12, 0) == pytest.approx(math.log(float(exact[12][0])), rel=1e-12)
     # the j = 0 trace is recorded whenever the row has a j = 0 column
     for i in range(0, 13, k):

@@ -77,6 +77,7 @@ def commands() -> list[list[str]]:
                 cmds.append(["verify", "--scope", scope, "--k", str(k), "--format", fmt])
         cmds.append(["verify", "--scope", scope, "--k", "5", "--n-max", "2"])
         cmds.append(["verify", "--scope", scope, "--k", "2", "--n-max", "0"])
+        cmds.append(["verify", "--scope", scope, "--k", "2", "--n-max", "-1"])
         cmds.append(["verify", "--scope", scope, "--k", "1"])
     for scope, n_max in (("transform", "10"), ("p-ineq", "12"), ("ratio", "100")):
         for k in ("2", "3"):
