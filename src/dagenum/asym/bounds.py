@@ -31,7 +31,7 @@ suffix-walk counts that the window-truncation argument rests on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,14 +87,12 @@ class BoundParams:
 
     eta only enters the upper witness; it must be finite and sit strictly
     above min_eta(k).  epsilon controls the column windows (j < i^(2/3-eps) on
-    the lower side, j < i^(1-eps) on the upper side).  i0 is the verified
-    threshold index, None until a verifier run fills it in.
+    the lower side, j < i^(1-eps) on the upper side).
     """
 
     k: int
     eta: float
     epsilon: float
-    i0: Optional[int] = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -251,12 +249,7 @@ class BoundReport:
     i_min: int
     i_max: int
     violations: list[tuple[int, int]]
-
-    @property
-    def first_verified_i0(self) -> int:
-        if self.params.i0 is None:
-            raise AssertionError("params.i0 is None: no verifier run filled it in")
-        return self.params.i0
+    first_verified_i0: int
 
     def to_dict(self) -> dict:
         return {
@@ -356,11 +349,11 @@ def verify_bounds(
             f"byte-budget: projected sweep exceeds configured byte budget ({DEFAULT_BYTE_BUDGET})"
         )
     violations = _scan_block(side, params, p_exp, q, i_min, i_max)
-    i0 = violations[-1][0] + 1 if violations else i_min
     return BoundReport(
         side=side,
-        params=replace(params, i0=i0),
+        params=params,
         i_min=i_min,
         i_max=i_max,
         violations=violations,
+        first_verified_i0=violations[-1][0] + 1 if violations else i_min,
     )

@@ -294,6 +294,8 @@ def cmd_verify(args) -> int:
     default_n_max, run, render = VERIFY_SCOPES[args.scope]
     if args.n_max is None:
         args.n_max = default_n_max(args.k)
+    elif args.n_max < 0:  # every scope: no rows to check is not a PASS
+        raise ValueError(f"negative-size: {args.n_max}")
     report = {"scope": args.scope, "k": args.k, **run(args)}
     if args.format == "json":
         _print_json(report)

@@ -8,6 +8,7 @@ code path.  A small-scale minimal-DFA counter provides the third sequence.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 from . import bijection, paths
@@ -115,51 +116,37 @@ def count_min_dfa_oracle(k: int, states: int, minimal: bool = True) -> int:
         return 1
 
     transients = states - 1
-    dead = states - 1  # state indices 0..states-2 transient, last one dead
-    letters = range(k)
+    dead = transients  # state indices 0..states-2 transient, last one dead
 
     # candidate transition rows per transient state i: targets above i or dead.
     # Any acyclic-except-dead automaton has a topological order of its
     # transients with the initial state first, so up to isomorphism every
     # class appears among these tables; BFS relabelling dedups the rest.
-    def rows(i: int) -> Iterator[tuple[int, ...]]:
-        choices = list(range(i + 1, transients)) + [dead]
-        def rec(pos: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if pos == k:
-                yield acc
-                return
-            for c in choices:
-                yield from rec(pos + 1, acc + (c,))
-        yield from rec(0, ())
-
-    def all_tables(i: int, acc: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == transients:
-            yield acc
-            return
-        for row in rows(i):
-            yield from all_tables(i + 1, acc + (row,))
-
+    rows = [product([*range(i + 1, transients), dead], repeat=k) for i in range(transients)]
     canonical: set = set()
-    for table in all_tables(0, ()):
-        delta = list(table) + [tuple(dead for _ in letters)]
-        # reachability from the initial state 0
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            q = frontier.pop()
-            for a in letters:
-                nxt = delta[q][a]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != states:
+    for table in product(*rows):
+        delta = [*table, (dead,) * k]
+        order = _bfs_order(delta)
+        if len(order) != states:  # a state is unreachable from the initial one
             continue
+        relabel = {q: new for new, q in enumerate(order)}
+        shape = tuple(tuple(relabel[r] for r in delta[q]) for q in order)
         for acc_mask in range(1 << transients):
             accepting = frozenset(i for i in range(transients) if acc_mask >> i & 1)
             if minimal and not _is_minimal(delta, accepting, states, k):
                 continue
-            canonical.add(_canonical_form(delta, accepting, states, k))
+            canonical.add((shape, tuple(sorted(relabel[q] for q in accepting))))
     return len(canonical)
+
+
+def _bfs_order(delta) -> list[int]:
+    """The states reachable from the initial state 0, in BFS discovery order."""
+    order = [0]
+    for q in order:  # the loop reaches the states appended while it runs
+        for r in delta[q]:
+            if r not in order:
+                order.append(r)
+    return order
 
 
 def _is_minimal(delta, accepting, states: int, k: int) -> bool:
@@ -177,22 +164,3 @@ def _is_minimal(delta, accepting, states: int, k: int) -> bool:
             return len(remap) == states
         cls = new_cls
 
-
-def _canonical_form(delta, accepting, states: int, k: int):
-    """Relabel states in BFS discovery order from the initial state."""
-    order = {0: 0}
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        q = queue[head]
-        head += 1
-        for a in range(k):
-            nxt = delta[q][a]
-            if nxt not in order:
-                order[nxt] = len(order)
-                queue.append(nxt)
-    new_delta = [None] * states
-    for q, new_q in order.items():
-        new_delta[new_q] = tuple(order[delta[q][a]] for a in range(k))
-    new_accepting = tuple(sorted(order[q] for q in accepting))
-    return tuple(new_delta), new_accepting

@@ -2,9 +2,9 @@
 
 A path starts at (0, -1) with a forced initial U step.  U moves one unit up,
 H moves one unit right and carries a "cross" decoration.  After removing the
-initial U the path starts at the origin and must never cross above the line
-y = x/(k-1); an H step taken at height m carries a cross in 1..m+1, encoding
-the postorder label of a pointer target.
+initial U the path starts at the origin, must never cross above the line
+y = x/(k-1) and ends on it, at ((k-1)n, n); an H step taken at height m
+carries a cross in 1..m+1, encoding the postorder label of a pointer target.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
+
+from .trees import Child, Node, POINTER, SPINE
 
 
 class Step(NamedTuple):
@@ -56,32 +58,60 @@ class PathReport(NamedTuple):
     code: str | None = None
 
 
+# Edges are immutable, so trees can share them; a cache hit costs a third
+# of building the NamedTuple.
+_edge = lru_cache(maxsize=1024, typed=True)(Child)
+
+
 def validate_path(p: DecoratedPath) -> PathReport:
     """Check the path invariants, reporting the first violating step index."""
-    if p.k < 2:
-        return PathReport(False, None, "arity-k")
-    if not p.steps or p.steps[0].kind != "U":
-        return PathReport(False, 0, "first-step")
-    x, y = 0, -1
-    for idx, (kind, cross) in enumerate(p.steps):
+    return _walk(p)[0]
+
+
+def _walk(p: DecoratedPath) -> tuple[PathReport, list[Node] | None]:
+    """The one left-to-right pass: validate_path's report and, for a valid
+    path, the internal nodes of its tree in postorder, else None.
+
+    A stack holds completed subtrees as spine edges and pending crosses as
+    pointer edges.  The first U creates the sink; every later U closes the
+    next label in postorder by popping k items as its children.  Each H
+    pushes one item, the first U one and each later U a net 1 - k, so after
+    x H steps and y + 1 U steps the stack holds x + 1 - (k-1)y items.  The
+    diagonal rule (k-1)y <= x at the vertex after a later U therefore holds
+    exactly when k items are on the stack before it, and the endpoint rule
+    (k-1)y == x leaves the root alone on it.
+    """
+    k, steps = p.k, p.steps
+    if k < 2:
+        return PathReport(False, None, "arity-k"), None
+    if not steps or steps[0].kind != "U":
+        return PathReport(False, 0, "first-step"), None
+    stack: list[Child] = []
+    nodes: list[Node] = []
+    label = 0  # labels completed so far, one per U step
+    for idx, (kind, cross) in enumerate(steps):
         if kind == "U":
             if cross is not None:
-                return PathReport(False, idx, "step-format")
-            y += 1
-            # the constraint applies with the initial U removed; the vertex
-            # after that first step is (0, 0), which satisfies it anyway
-            if (p.k - 1) * y > x:
-                return PathReport(False, idx, "diagonal")
+                return PathReport(False, idx, "step-format"), None
+            if label:
+                if len(stack) < k:
+                    return PathReport(False, idx, "diagonal"), None
+                nodes.append(Node(label + 1, tuple(stack[-k:])))
+                del stack[-k:]
+            label += 1
+            stack.append(_edge(SPINE, label))
         elif kind == "H":
             if not isinstance(cross, int):
-                return PathReport(False, idx, "step-format")
-            # height m = y, one unit box per row from y = -1 up
-            if not 1 <= cross <= y + 1:
-                return PathReport(False, idx, "cross-range")
-            x += 1
+                return PathReport(False, idx, "step-format"), None
+            # a cross names a completed label: 1..m+1 at height m
+            if not 1 <= cross <= label:
+                return PathReport(False, idx, "cross-range"), None
+            stack.append(_edge(POINTER, cross))
         else:
-            return PathReport(False, idx, "step-format")
-    return PathReport(True)
+            return PathReport(False, idx, "step-format"), None
+    if len(stack) != 1:
+        return PathReport(False, len(steps), "endpoint"), None
+    return PathReport(True), nodes
 
 
 def generate_paths(k: int, n: int, limit: int = 8) -> Iterator[DecoratedPath]:

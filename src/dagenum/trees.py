@@ -48,9 +48,6 @@ class RelaxedTree:
     def root_label(self) -> int:
         return len(self.nodes) + 1
 
-    def node_map(self) -> dict[int, Node]:
-        return {node.label: node for node in self.nodes}
-
 
 class Violation(NamedTuple):
     code: str

@@ -51,27 +51,31 @@ def test_both_enumerations_agree(k, n):
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError, match="invalid-tree"):
         tree_to_path(RelaxedTree(2, (Node(2, ()),)))
-    with pytest.raises(ValueError, match="invalid-path"):
+    with pytest.raises(ValueError, match="invalid-path: diagonal at step 1"):
         path_to_tree(DecoratedPath(2, (up(), up())))
+    with pytest.raises(ValueError, match="invalid-path: endpoint at step 2"):
+        path_to_tree(DecoratedPath(2, (up(), horiz(1))))
 
 
-def test_stack_underflow_raises_under_optimize(run_python):
-    # validation is bypassed, so only the explicit underflow check can stop
-    # the second U step, which finds one subtree where k = 2 are needed
-    code = (
-        "from dagenum import bijection\n"
-        "from dagenum.paths import DecoratedPath, PathReport, up\n"
-        "bijection.validate_path = lambda p: PathReport(True)\n"
-        "try:\n"
-        "    bijection.path_to_tree(DecoratedPath(2, (up(), up())))\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    proc = run_python("-O", "-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert "cannot underflow" in proc.stdout
+def _prefix_maps_or_refuses(p: DecoratedPath) -> None:
+    """Every proper prefix of p is a valid smaller path or a ValueError."""
+    for end in range(len(p.steps)):
+        prefix = DecoratedPath(p.k, p.steps[:end])
+        if validate_path(prefix).ok:
+            assert tree_to_path(path_to_tree(prefix)) == prefix
+        else:
+            with pytest.raises(ValueError, match="invalid-path"):
+                path_to_tree(prefix)
+
+
+def test_fixture_path_prefixes_map_or_raise_value_error(fixtures_dir):
+    _prefix_maps_or_refuses(path_loads((fixtures_dir / "ternary7_path.json").read_text()))
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (4, 2)])
+def test_generated_path_prefixes_map_or_raise_value_error(k, n):
+    for p in generate_paths(k, n):
+        _prefix_maps_or_refuses(p)
 
 
 def test_fixture_pair_matches(fixtures_dir):

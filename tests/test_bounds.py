@@ -198,20 +198,6 @@ def test_sweep_airy_calls_bounded(monkeypatch):
     assert len(sizes) * 50 < rows
 
 
-def test_report_without_i0_raises_under_optimize(run_python):
-    code = (
-        "from dagenum.asym.bounds import BoundParams, BoundReport\n"
-        "r = BoundReport('lower', BoundParams(3, eta=1.0, epsilon=0.1), 2, 10, [])\n"
-        "try:\n"
-        "    r.first_verified_i0\n"
-        "except AssertionError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    proc = run_python("-O", "-c", code)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_verify_bounds_range_guard():
     eta = 1.05 * min_eta(2)
     with pytest.raises(ValueError, match="i-range"):

@@ -477,6 +477,15 @@ def test_p_ineq_over_the_cap_checks_no_size(capsys, monkeypatch):
     assert sizes == [31]  # only the call that refuses; none of n = 1..30 is computed
 
 
+@pytest.mark.parametrize(
+    "scope", ["oracle", "bijection", "bounds-lower", "bounds-upper", "ratio", "p-ineq", "transform"]
+)
+def test_negative_n_max_exits_2_for_every_scope(capsys, scope):
+    # p-ineq had no rows to check and ratio fell back to n = 1: both printed PASS
+    code, out, err = run(capsys, ["verify", "--scope", scope, "--k", "2", "--n-max", "-4"])
+    assert (code, out, err) == (2, "", "error: negative-size: -4\n")
+
+
 @pytest.mark.parametrize("command", [["verify", "--scope", "bounds-upper"], ["asym", "bounds", "--side", "upper"]])
 def test_infinite_eta_exits_2(capsys, command):
     # eta * j**4 is inf * 0 = NaN at j = 0, and a NaN cell never counts as a violation
@@ -527,11 +536,10 @@ def test_convert_invalid_tree_exits_2(capsys, tmp_path):
 
 
 def test_convert_validates_valid_input_once(capsys, monkeypatch, fixtures_dir):
-    import dagenum.bijection
     import dagenum.paths
     import dagenum.trees
 
-    calls = {"walk": 0, "validate_path": 0}
+    calls = {"tree": 0, "path": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -539,23 +547,24 @@ def test_convert_validates_valid_input_once(capsys, monkeypatch, fixtures_dir):
             return fn(*args)
         return wrapper
 
-    walk = counted("walk", dagenum.trees._walk)
-    monkeypatch.setattr(dagenum.trees, "_walk", walk)
-    monkeypatch.setattr(dagenum.bijection, "_walk", walk)
-    check = counted("validate_path", dagenum.paths.validate_path)
-    monkeypatch.setattr(dagenum.bijection, "validate_path", check)
-    monkeypatch.setattr(dagenum.paths, "validate_path", check)
+    monkeypatch.setattr(dagenum.trees, "_walk", counted("tree", dagenum.trees._walk))
+    monkeypatch.setattr(dagenum.paths, "_walk", counted("path", dagenum.paths._walk))
     for direction, name in (("tree-to-path", "tree"), ("path-to-tree", "path")):
         doc = str(fixtures_dir / f"ternary7_{name}.json")
         assert run(capsys, ["convert", "--direction", direction, "--input", doc])[0] == 0
-    assert calls == {"walk": 1, "validate_path": 1}
+    assert calls == {"tree": 1, "path": 1}
 
 
 def test_convert_invalid_path_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"k": 2, "steps": [{"type": "U"}, {"type": "U"}]}))
-    code, out, err = run(capsys, ["convert", "--direction", "path-to-tree", "--input", str(bad)])
-    assert (code, out, err) == (2, "", "invalid path: diagonal at step 1\n")
+    for steps, err in (
+        ([{"type": "U"}, {"type": "U"}], "invalid path: diagonal at step 1\n"),
+        # stops at (1, 0), short of the diagonal point (1, 1)
+        ([{"type": "U"}, {"type": "H", "cross": 1}], "invalid path: endpoint at step 2\n"),
+    ):
+        bad.write_text(json.dumps({"k": 2, "steps": steps}))
+        argv = ["convert", "--direction", "path-to-tree", "--input", str(bad)]
+        assert run(capsys, argv) == (2, "", err)
 
 
 def test_convert_unparseable_input_exits_2(capsys, tmp_path):

@@ -47,9 +47,11 @@ COMMANDS = [
     _verify("p-ineq", 2, "--n-max", "4"),
     _verify("p-ineq", 3, "--n-max", "3", "--format", "json"),
     _verify("p-ineq", 30, "--n-max", "3"),
+    _verify("p-ineq", 2, "--n-max", "-4"),
     _verify("ratio", 2, "--n-max", "60"),
     _verify("ratio", 2, "--n-max", "60", "--format", "json"),
     _verify("ratio", 3, "--n-max", "10"),
+    _verify("ratio", 2, "--n-max", "-5"),
     _verify("bounds-lower", 3, "--i-max", "60"),
     _verify("bounds-lower", 3, "--i-max", "60", "--format", "json"),
     _verify("bounds-upper", 2, "--i-max", "120", "--i0-limit", "1"),

@@ -64,6 +64,16 @@ def test_dropping_minimality_only_grows_the_count():
     assert count_min_dfa_oracle(2, 3, minimal=False) >= count_min_dfa_oracle(2, 3)
 
 
+@pytest.mark.parametrize(
+    "k,states,minimal_count,all_count",
+    [(1, 3, 2, 4), (2, 3, 6, 12), (2, 4, 60, 128), (2, 5, 900, 2032),
+     (3, 4, 532, 1112), (4, 3, 30, 60), (5, 3, 62, 124)],
+)
+def test_min_dfa_oracle_pinned_counts(k, states, minimal_count, all_count):
+    assert count_min_dfa_oracle(k, states) == minimal_count
+    assert count_min_dfa_oracle(k, states, minimal=False) == all_count
+
+
 def test_dfa_guards():
     with pytest.raises(ValueError, match="arity-k"):
         count_min_dfa_oracle(0, 2)

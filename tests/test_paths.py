@@ -37,6 +37,12 @@ def test_diagonal_constraint():
     assert not rep.ok and rep.code == "diagonal" and rep.index == 1
 
 
+def test_endpoint_constraint():
+    # U H(1) stops at (1, 0), short of the diagonal point (1, 1)
+    rep = validate_path(DecoratedPath(2, (up(), horiz(1))))
+    assert not rep.ok and rep.code == "endpoint" and rep.index == 2
+
+
 def test_cross_range():
     # H at height 0 allows only cross 1
     rep = validate_path(DecoratedPath(2, (up(), horiz(2))))

@@ -35,6 +35,8 @@ _TREE_SPINE_TAG = {
 }
 _PATH_DIAGONAL = {"k": 2, "steps": [{"type": "U"}, {"type": "U"}]}
 _PATH_CROSS = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 2}, {"type": "U"}]}
+# stops at (1, 0), short of the diagonal point (1, 1)
+_PATH_ENDPOINT = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1}]}
 
 
 def inputs() -> dict[str, str]:
@@ -46,6 +48,7 @@ def inputs() -> dict[str, str]:
         "bad-tree-spine-tag.json": json.dumps(_TREE_SPINE_TAG),
         "bad-path-diagonal.json": json.dumps(_PATH_DIAGONAL),
         "bad-path-cross.json": json.dumps(_PATH_CROSS),
+        "bad-path-endpoint.json": json.dumps(_PATH_ENDPOINT),
         "garbage.json": "not json {",
         "corrupt/relaxed-k2.ctab": "ctab 2\nkind relaxed\nk 2\nn_max 3\nsha256 0\n1\n",
     }
@@ -84,6 +87,8 @@ def commands() -> list[list[str]]:
             for fmt in ("text", "json"):
                 cmds.append(["verify", "--scope", scope, "--k", k, "--n-max", n_max, "--format", fmt])
     cmds.append(["verify", "--scope", "p-ineq", "--k", "2", "--n-max", "40"])  # over kn = 60
+    for scope in ("transform", "p-ineq", "ratio", "bounds-lower", "bounds-upper"):
+        cmds.append(["verify", "--scope", scope, "--k", "2", "--n-max", "-4", "--i-max", "20"])
     for side in ("lower", "upper"):
         for fmt in ("text", "json"):
             cmds.append(["verify", "--scope", f"bounds-{side}", "--k", "3", "--i-max", "80", "--format", fmt])
@@ -94,7 +99,8 @@ def commands() -> list[list[str]]:
     cmds.append(["verify", "--scope", "nope", "--k", "2"])
     for direction, good, bad in (
         ("tree-to-path", "tree.json", ("bad-tree-arity.json", "bad-tree-spine-tag.json")),
-        ("path-to-tree", "path.json", ("bad-path-diagonal.json", "bad-path-cross.json")),
+        ("path-to-tree", "path.json",
+         ("bad-path-diagonal.json", "bad-path-cross.json", "bad-path-endpoint.json")),
     ):
         cmds.append(["convert", "--direction", direction, "--input", good])
         cmds.append(["convert", "--direction", direction, "--input", good, "--output", f"out-{good}"])
