@@ -67,12 +67,10 @@ class ScaledTable:
 _ROW_CEILING = 20000
 
 
-def build_scaled_table(
-    k: int, i_max: int, keep_rows=(), ceiling: int = _ROW_CEILING
-) -> ScaledTable:
+def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
     _check(k, i_max)
-    if i_max > ceiling:
-        raise ValueError(f"too-large: {i_max} rows exceed the ceiling {ceiling}")
+    if i_max > _ROW_CEILING:
+        raise ValueError(f"too-large: {i_max} rows exceed the ceiling {_ROW_CEILING}")
     keep = set(int(r) for r in keep_rows)
     keep.add(i_max)
     scale_log2 = [0]

@@ -293,6 +293,8 @@ VERIFY_SCOPES = {
 def cmd_verify(args) -> int:
     default_n_max, run, render = VERIFY_SCOPES[args.scope]
     if args.n_max is None:
+        if args.k < 2:  # every runner refuses it, and two defaults divide by k
+            raise ValueError(f"arity-k: {args.k}")
         args.n_max = default_n_max(args.k)
     elif args.n_max < 0:  # every scope: no rows to check is not a PASS
         raise ValueError(f"negative-size: {args.n_max}")
@@ -310,29 +312,26 @@ def cmd_convert(args) -> int:
     from . import paths, trees
     from .bijection import path_to_tree, tree_to_path
 
-    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
-    if args.direction == "tree-to-path":
-        t = trees.loads(text)
-        try:
-            path = tree_to_path(t)
-        except ValueError:  # only now walk again, to list every violation
-            for v in trees.validate_tree(t).violations:
-                print(f"invalid tree: {v.code} at {list(v.labels)}", file=sys.stderr)
-            return EXIT_USAGE
-        out_text = paths.dumps(path)
-    else:
-        p = paths.loads(text)
-        try:
-            tree = path_to_tree(p)
-        except ValueError:
-            rep = paths.validate_path(p)
-            print(f"invalid path: {rep.code} at step {rep.index}", file=sys.stderr)
-            return EXIT_USAGE
-        out_text = trees.dumps(tree)
+    # direction -> (parse, map, serialize, the invalid-input lines of a parsed input)
+    loads, convert, dumps, errors = {
+        "tree-to-path": (trees.loads, tree_to_path, paths.dumps, lambda t: [
+            f"invalid tree: {v.code} at {list(v.labels)}" for v in trees.validate_tree(t).violations
+        ]),
+        "path-to-tree": (paths.loads, path_to_tree, trees.dumps, lambda p: [
+            "invalid path: {0.code} at step {0.index}".format(paths.validate_path(p))
+        ]),
+    }[args.direction]
+    source = loads(sys.stdin.read() if args.input == "-" else Path(args.input).read_text())
+    try:
+        image = convert(source)
+    except ValueError:  # only now walk again, to list what is invalid
+        for line in errors(source):
+            print(line, file=sys.stderr)
+        return EXIT_USAGE
     if args.output == "-":
-        sys.stdout.write(out_text)
+        sys.stdout.write(dumps(image))
     else:
-        Path(args.output).write_text(out_text)
+        Path(args.output).write_text(dumps(image))
     return EXIT_OK
 
 

@@ -49,13 +49,11 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
     pointer = [Child(POINTER, target) for target in range(n + 2)]
     spine = [Child(SPINE, target) for target in range(n + 2)]
 
-    def node_states(completed: int, created: int) -> Iterator[tuple[int, int]]:
-        """Build one internal node; yields (completed, created) after it closes."""
-        yield from slot_states(0, (), completed, created)
-
     def slot_states(
         idx: int, children: tuple[Child, ...], completed: int, created: int
     ) -> Iterator[tuple[int, int]]:
+        """Fill slots idx.. of one internal node; yields (completed, created)
+        after it closes.  Slot 0 with no children builds a whole node."""
         if idx == k:
             label = completed + 1
             nodes.append(Node(label, children))
@@ -67,13 +65,13 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
         if completed == 0:
             yield from slot_states(idx + 1, children + (spine[1],), 1, created)
         if created < n:
-            for sub_completed, sub_created in node_states(completed, created + 1):
+            for sub_completed, sub_created in slot_states(0, (), completed, created + 1):
                 # the subtree root completed last, so its label is sub_completed
                 yield from slot_states(
                     idx + 1, children + (spine[sub_completed],), sub_completed, sub_created
                 )
 
-    for completed, created in node_states(0, 1):
+    for completed, created in slot_states(0, (), 0, 1):
         if created == n:
             if completed != n + 1:
                 raise AssertionError(f"{completed} labels completed, not n + 1 = {n + 1}")

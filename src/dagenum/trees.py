@@ -178,63 +178,49 @@ def fringe_key(t: RelaxedTree, label: int) -> str:
     Spine and pointer children are unfolded uniformly, so the string can
     grow exponentially with the tree: shared nodes appear once per path to
     them (the doubling chain's root key has 3.1 M characters at n = 20).
-    `is_compacted` compares interned ids instead.
+    `is_compacted` compares interned ids instead.  Keys are built bottom-up
+    over ascending labels, which both memoizes shared nodes and guarantees
+    termination: in a valid tree every child target carries a smaller
+    postorder label than its parent.
     """
-    keys = _fold(t, "s", lambda parts: "(" + "".join(parts) + ")")
+    keys = {1: "s"}
+    for parent, children in sorted(t.nodes, key=itemgetter(0)):
+        for _, target in children:
+            if target >= parent or target not in keys:
+                raise ValueError(
+                    f"invalid-tree: node {parent} references {target}, "
+                    "which is not postorder-complete"
+                )
+        keys[parent] = "(" + "".join(keys[target] for _, target in children) + ")"
     if label not in keys:
         raise ValueError(f"no-such-node: {label}")
     return keys[label]
 
 
-def _fold(t: RelaxedTree, sink, combine) -> dict:
-    """Map each label to `combine` of its children's values, the sink to `sink`.
-
-    Values are built bottom-up over ascending labels, which both memoizes
-    shared nodes and guarantees termination: in a valid tree every child
-    target carries a smaller postorder label than its parent.
-    """
-    values = {1: sink}
-    for label, children in sorted(t.nodes, key=itemgetter(0)):
-        parts = []
-        for _, target in children:
-            if target >= label or target not in values:
-                raise ValueError(
-                    f"invalid-tree: node {label} references {target}, "
-                    "which is not postorder-complete"
-                )
-            parts.append(values[target])
-        values[label] = combine(parts)
-    return values
-
-
-def is_cherry(node: Node) -> bool:
-    """An internal node whose k children are all pointers."""
-    return all(child.kind == POINTER for child in node.children)
-
-
 def is_compacted(t: RelaxedTree) -> bool:
     """True iff all fringe subtrees of internal nodes are pairwise distinct.
 
-    Evaluates two independent criteria and cross-asserts them: distinctness
-    of the fringe subtrees, hash-consed (a node's id interns the tuple of
-    its children's ids, so equal ids mean equal unfolded subtrees, in
-    O(n k) time), and absence of a pair (u, v) with the same ordered child
-    targets where v is a cherry.
+    One pass over the nodes in label order evaluates two independent
+    criteria, which are cross-asserted: distinctness of the fringe subtrees,
+    hash-consed (a node's id interns the tuple of its children's ids, so
+    equal ids mean equal unfolded subtrees, in O(n k) time), and absence of
+    a pair (u, v) with the same ordered child targets where v is a cherry
+    (all k children pointers).
     """
-    report = validate_tree(t)
-    if not report.ok:
-        raise ValueError(f"invalid-tree: {report.first_code()}")
+    violations, _ = _walk(t)
+    if violations:
+        raise ValueError(f"invalid-tree: {violations[0].code}")
+    ids = [0] * (len(t.nodes) + 2)  # the sink's id is 0
     interned: dict[tuple[int, ...], int] = {}
-    _fold(t, 0, lambda parts: interned.setdefault(tuple(parts), len(interned) + 1))
+    seen, repeated, cherries = set(), set(), set()  # of child-target tuples
+    for label, children in sorted(t.nodes, key=itemgetter(0)):
+        kinds, targets = zip(*children)
+        ids[label] = interned.setdefault(tuple(map(ids.__getitem__, targets)), len(interned) + 1)
+        (repeated if targets in seen else seen).add(targets)
+        if SPINE not in kinds:
+            cherries.add(targets)
     distinct_keys = len(interned) == len(t.nodes)
-
-    by_targets: dict[tuple[int, ...], list[Node]] = {}
-    for node in t.nodes:
-        by_targets.setdefault(tuple([c.target for c in node.children]), []).append(node)
-    dup_with_cherry = any(
-        len(group) >= 2 and any(map(is_cherry, group)) for group in by_targets.values()
-    )
-    if distinct_keys != (not dup_with_cherry):
+    if distinct_keys != repeated.isdisjoint(cherries):
         raise AssertionError(
             "fringe-key and cherry criteria disagree on "
             f"k={t.k} tree with {t.n} internal nodes"

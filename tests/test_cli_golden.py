@@ -67,6 +67,10 @@ COMMANDS = [
     ["asym", "bounds", "--side", "upper", "--k", "2", "--i-min", "50", "--i-max", "40"],
     ["asym", "profile", "--k", "2", "--i", "100", "--j-limit", "5"],
     ["asym", "profile", "--k", "3", "--i", "120"],
+    # k < 2 is refused before a default --n-max that divides by k
+    _verify("transform", 0),
+    _verify("p-ineq", 0),
+    _verify("p-ineq", -1),
 ]
 
 

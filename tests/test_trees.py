@@ -163,6 +163,13 @@ def test_fringe_key_of_sink():
         fringe_key(smallest_tree(2), 7)
 
 
+def test_fringe_key_rejects_a_child_not_below_its_parent():
+    # node 2 points at node 3, which completes after it
+    forward = RelaxedTree(2, (Node(2, (S(1), P(3))), Node(3, (S(2), P(1)))))
+    with pytest.raises(ValueError, match="invalid-tree: node 2 references 3"):
+        fringe_key(forward, 3)
+
+
 def test_document_round_trip():
     t = _valid_pair_tree((P(1), P(2)))
     assert loads(dumps(t)) == t

@@ -89,6 +89,9 @@ def commands() -> list[list[str]]:
     cmds.append(["verify", "--scope", "p-ineq", "--k", "2", "--n-max", "40"])  # over kn = 60
     for scope in ("transform", "p-ineq", "ratio", "bounds-lower", "bounds-upper"):
         cmds.append(["verify", "--scope", scope, "--k", "2", "--n-max", "-4", "--i-max", "20"])
+    # k < 2 with the default --n-max, which divides by k for these two scopes
+    for scope, k in (("transform", "0"), ("p-ineq", "0"), ("p-ineq", "-1")):
+        cmds.append(["verify", "--scope", scope, "--k", k])
     for side in ("lower", "upper"):
         for fmt in ("text", "json"):
             cmds.append(["verify", "--scope", f"bounds-{side}", "--k", "3", "--i-max", "80", "--format", fmt])
