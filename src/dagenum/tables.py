@@ -128,6 +128,9 @@ def _columns(
     """
     a = _A_MUL[kind]
     sub = [_sub_coef(kind, m) for m in range(stop // (k - 1) + 1)]
+    # decided once, not per cell: a = 1 (relaxed, compacted) skips a
+    # product, an all-zero sub (relaxed) skips the subtraction term
+    scale, subtract = a != 1, any(sub)
     floor = 1 if kind == "relaxed" else 0
     window = deque(tail, maxlen=k)
     for n in range(start, stop + 1):
@@ -140,10 +143,9 @@ def _columns(
         if m_in > 0:
             prev, back = window[-1], window[0]
             v = 1
-            # a = 1 (relaxed, compacted) and sub[m] = 0 (relaxed) skip a product
             for m in range(1, m_in + 1):
-                v = (m + 1) * prev[m] + (v if a == 1 else a * v)
-                if sub[m]:
+                v = (m + 1) * prev[m] + (a * v if scale else v)
+                if subtract:
                     v -= sub[m] * back[m - 1]
                 col[m] = v
         if m_top > max(m_in, 0):
@@ -223,11 +225,15 @@ def _check_match(found_kind: str, found_k: int, kind: str, k: int) -> None:
         )
 
 
-# ctab 1 holds the whole wedge (save_table/load_table); ctab 2, the CLI's
-# cache, holds the diagonal and the last k columns.  Both share the header,
-# the checksum and the atomic write.
+# ctab 1 holds the whole wedge (save_table/load_table); ctab 2 and ctab 3,
+# the CLI's cache, hold the diagonal and the last k columns.  All share the
+# header, the checksum and the atomic write.  ctab 3 writes its integers in
+# hexadecimal, which CPython converts in linear time and outside the int-str
+# digit limit.  ctab 1 and ctab 2 are decimal; the cache reads both and
+# rewrites them as ctab 3.
 _MAGIC = "ctab 1"
 _MAGIC_2 = "ctab 2"
+_MAGIC_3 = "ctab 3"
 
 
 def _checksum(body: str) -> str:
@@ -252,7 +258,7 @@ def _write_ctab(path, magic: str, kind: str, k: int, n_max: int, body: str) -> N
 
 
 def _read_ctab(path) -> tuple[str, str, int, int, list[str]]:
-    """Magic, kind, k, n_max and body lines of a .ctab file of either
+    """Magic, kind, k, n_max and body lines of a .ctab file of any
     layout, once its header parses and its checksum matches."""
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -265,7 +271,7 @@ def _read_ctab(path) -> tuple[str, str, int, int, list[str]]:
     if not nl:
         raise CacheError("cache-corrupt: truncated header")
     head_lines = head.splitlines()
-    if len(head_lines) != 4 or head_lines[0] not in (_MAGIC, _MAGIC_2):
+    if len(head_lines) != 4 or head_lines[0] not in (_MAGIC, _MAGIC_2, _MAGIC_3):
         raise CacheError("cache-corrupt: bad header")
     try:
         kind = head_lines[1].removeprefix("kind ").strip()
@@ -278,6 +284,13 @@ def _read_ctab(path) -> tuple[str, str, int, int, list[str]]:
     if _checksum(body) != checksum:
         raise CacheError("cache-corrupt: checksum mismatch")
     return head_lines[0], kind, k, n_max, body.splitlines()
+
+
+def _entry_error(exc: ValueError) -> CacheError:
+    """A decimal cell over the caller's int-str limit is not corruption."""
+    if "set_int_max_str_digits" in str(exc):
+        return CacheError(f"cache-limit: {exc}")
+    return CacheError("cache-corrupt: non-integer entry")
 
 
 def _check_cells(kind: str, columns: list[list[int]]) -> None:
@@ -313,8 +326,8 @@ def _wedge_from_lines(kind: str, k: int, n_max: int, raw: list[str]) -> CountTab
             for n in range((k - 1) * m, n_max + 1):
                 columns[n][m] = int(raw[idx])
                 idx += 1
-    except ValueError:
-        raise CacheError("cache-corrupt: non-integer entry") from None
+    except ValueError as exc:
+        raise _entry_error(exc) from None
     _check_cells(kind, columns)
     return CountTable(kind, k, columns)
 
@@ -343,11 +356,12 @@ def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
     cols = _tail_columns(k, n_max)
     if len(raw) != n_max + 1 + len(cols):
         raise CacheError("cache-corrupt: wrong entry count")
+    base = 16 if magic == _MAGIC_3 else 10
     try:
-        diagonal = [int(v) for v in raw[: n_max + 1]]
-        tail = [[int(v) for v in line.split(" ")] for line in raw[n_max + 1 :]]
-    except ValueError:
-        raise CacheError("cache-corrupt: non-integer entry") from None
+        diagonal = [int(v, base) for v in raw[: n_max + 1]]
+        tail = [[int(v, base) for v in line.split(" ")] for line in raw[n_max + 1 :]]
+    except ValueError as exc:
+        raise _entry_error(exc) from None
     if any(len(col) != n // (k - 1) + 1 for n, col in zip(cols, tail)):
         raise CacheError("cache-corrupt: wrong tail-column length")
     # the diagonal starts at count(0) = 1, as every column starts at m = 0
@@ -360,11 +374,11 @@ def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
 def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     """diagonal_sequence(kind, k, n_max) through the cache file at path.
 
-    The file (ctab 2) holds count(0..N) and the columns max(0, c-k+1)..c,
-    c = (k-1)N.  When N >= n_max it is only read; otherwise the DP resumes
-    from those columns, and the longer diagonal is saved.  A missing file
-    is built from column 0; a ctab 1 file is read once and rewritten as
-    ctab 2.
+    The file (ctab 3) holds count(0..N) and the columns max(0, c-k+1)..c,
+    c = (k-1)N, in hexadecimal.  When N >= n_max it is only read;
+    otherwise the DP resumes from those columns, and the longer diagonal is
+    saved.  A missing file is built from column 0; a ctab 1 or ctab 2 file
+    is read once and rewritten as ctab 3.
     """
     path = Path(path)
     magic, diagonal, tail = None, [], []
@@ -373,10 +387,10 @@ def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     _check_args(kind, k, n_max)
     if magic is not None:
         _check_match(found_kind, found_k, kind, k)
-    if n_max >= len(diagonal) or magic != _MAGIC_2:
+    if n_max >= len(diagonal) or magic != _MAGIC_3:
         _check_budget(kind, k, (k - 1) * n_max, wedge=False)
         tail = _extend_diagonal(kind, k, diagonal, tail, n_max)
-        body = "".join(f"{v}\n" for v in diagonal)
-        body += "".join(" ".join(map(str, col)) + "\n" for col in tail)
-        _write_ctab(path, _MAGIC_2, kind, k, len(diagonal) - 1, body)
+        body = "".join(f"{v:x}\n" for v in diagonal)
+        body += "".join(" ".join(map("{:x}".format, col)) + "\n" for col in tail)
+        _write_ctab(path, _MAGIC_3, kind, k, len(diagonal) - 1, body)
     return diagonal[: n_max + 1]

@@ -101,7 +101,7 @@ def test_cached_count_equals_uncached(capsys, tmp_path, kind, k):
         expected = run(capsys, _count(kind, k, n_max, "--format", fmt))
         assert run(capsys, _count(kind, k, n_max, "--format", fmt, *cache)) == expected
         assert expected[0] == 0
-    assert (tmp_path / f"{kind}-k{k}.ctab").read_text().startswith("ctab 2\n")
+    assert (tmp_path / f"{kind}-k{k}.ctab").read_text().startswith("ctab 3\n")
 
 
 def _rewrite_body(path, edit):
@@ -116,7 +116,7 @@ def _rewrite_body(path, edit):
 _CACHE_DAMAGE = {
     "edited-digit": lambda text: text[:-2] + ("1" if text[-2] != "1" else "2") + "\n",
     "truncated-body": lambda text: text[: len(text) * 2 // 3],
-    "ctab-9": lambda text: text.replace("ctab 2", "ctab 9", 1),
+    "ctab-9": lambda text: text.replace("ctab 3", "ctab 9", 1),
 }
 
 
@@ -140,6 +140,16 @@ def test_count_wrong_tail_column_length_exits_3(capsys, tmp_path):
     assert err == "cache error: cache-corrupt: wrong tail-column length\n"
 
 
+def test_count_non_hex_entry_exits_3(capsys, tmp_path):
+    argv = _count("dfa", 3, 4, "--cache-dir", str(tmp_path))
+    assert run(capsys, argv)[0] == 0
+    # "g" is no hex digit; the file is re-signed, so the checksum holds
+    _rewrite_body(tmp_path / "dfa-k3.ctab", lambda lines: lines[:-1] + [lines[-1] + "g"])
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "cache error: cache-corrupt: non-integer entry\n"
+
+
 @pytest.mark.parametrize("request_kind,request_k", [("compacted", 2), ("relaxed", 3)])
 def test_count_mismatched_cache_exits_3(capsys, tmp_path, request_kind, request_k):
     assert run(capsys, _count("relaxed", 2, 4, "--cache-dir", str(tmp_path)))[0] == 0
@@ -157,11 +167,24 @@ def test_count_migrates_ctab_1_cache(capsys, tmp_path):
     save_table(build_table("dfa", 2, 8), path)
     expected = run(capsys, _count("dfa", 2, 5, "--format", "json"))
     assert run(capsys, _count("dfa", 2, 5, "--format", "json", "--cache-dir", str(tmp_path))) == expected
-    assert path.read_text().startswith("ctab 2\n")
+    assert path.read_text().startswith("ctab 3\n")
     # the migrated file serves the rest of the old wedge's diagonal
     assert run(capsys, _count("dfa", 2, 8, "--cache-dir", str(tmp_path))) == run(
         capsys, _count("dfa", 2, 8)
     )
+
+
+def test_count_migrates_ctab_2_cache(capsys, tmp_path, fixtures_dir):
+    path = tmp_path / "dfa-k3.ctab"
+    path.write_bytes((fixtures_dir / "dfa_k3_ctab2.ctab").read_bytes())
+    expected = run(capsys, _count("dfa", 3, 3, "--format", "json"))
+    assert run(capsys, _count("dfa", 3, 3, "--format", "json", "--cache-dir", str(tmp_path))) == expected
+    assert path.read_text().startswith("ctab 3\n")
+    # the migrated file is read and extended like one written as ctab 3
+    for n_max in (2, 6):
+        assert run(capsys, _count("dfa", 3, n_max, "--cache-dir", str(tmp_path))) == run(
+            capsys, _count("dfa", 3, n_max)
+        )
 
 
 @pytest.mark.parametrize(

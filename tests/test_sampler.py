@@ -6,8 +6,10 @@ that.  Each draw must survive both maps, validate, and be classified by
 `is_compacted`, whose cross-assert between the interned-id and the cherry
 criterion is the two-route check.  The share of compacted draws must match
 the exact c_n / r_n, which decays only like n^(-1/4) at k = 2 (Elvey Price,
-Fang and Wallner, JCTA 2021), so it stays measurable at n = 300.  Sizes,
-draw counts and seeds are fixed here.
+Fang and Wallner, JCTA 2021), so it stays measurable at n = 300.  The share
+does not see a sampler that favours U steps; the length of a draw's final U
+run does, and its exact law comes from the same wedge columns.  Sizes, draw
+counts and seeds are fixed here.
 """
 
 import math
@@ -31,6 +33,9 @@ SHARE_CASES = [
     (3, 100, 1404, 0.8420),
 ]
 
+# (k, n, seed) for the final U run's mean
+RUN_CASES = [(2, 300, 1406), (3, 100, 1407)]
+
 CHI2_SEED = 1405
 CHI2_DRAWS_PER_PATH = 40
 CHI2_LIMIT = 180.80  # the 0.999 quantile of chi-square with 126 degrees of freedom
@@ -53,6 +58,25 @@ def test_sampled_trees_round_trip_and_match_the_compacted_share(k, n, seed, shar
         compacted += is_compacted(t)
     sigma = math.sqrt(exact * (1 - exact) / SHARE_DRAWS)
     assert abs(compacted / SHARE_DRAWS - exact) <= 4 * sigma
+
+
+@pytest.mark.parametrize("k, n, seed", RUN_CASES, ids=[f"k{k}-n{n}" for k, n, _ in RUN_CASES])
+def test_final_u_run_matches_its_exact_law(k, n, seed):
+    # A path ends in exactly j U steps when it passes ((k-1)n, n-j) by an H
+    # step from ((k-1)n - 1, n-j), whose cross takes n-j+1 values; so
+    # P(j) = (n-j+1) r[(k-1)n-1][n-j] / r_n for j = 1..n.
+    sampler, rng = PathSampler(k, n), random.Random(seed)
+    x, r_n = (k - 1) * n, sampler.count((k - 1) * n, n)
+    weights = {j: (n - j + 1) * sampler.count(x - 1, n - j) for j in range(1, n + 1)}
+    assert sum(weights.values()) == r_n
+    mean = sum(j * w for j, w in weights.items()) / r_n
+    var = sum(j * j * w for j, w in weights.items()) / r_n - mean**2
+    total = 0
+    for _ in range(SHARE_DRAWS):
+        steps = sampler.draw(rng).steps
+        total += next(j for j, step in enumerate(reversed(steps)) if step.kind == "H")
+    z = (total / SHARE_DRAWS - mean) / math.sqrt(var / SHARE_DRAWS)
+    assert abs(z) <= 4, f"z = {z:.2f}"
 
 
 def test_sampler_is_uniform_over_the_127_paths_of_size_4():

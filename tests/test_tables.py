@@ -1,6 +1,10 @@
 import contextlib
+import hashlib
 import io
 import math
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,25 +191,30 @@ def test_streaming_route_has_a_byte_budget(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-# ctab 2 bytes of count(0..3) for dfa, k = 3: the diagonal, then the
-# columns 4..6, one per line.
-_DFA3_GOLDEN_2 = (
-    "ctab 2\nkind dfa\nk 3\nn_max 3\n"
-    "checksum 23481fd29c4c6db69e96455b932f8fa31cc751b0827fbf29d6ffb03f328ca827\n"
-    "1\n1\n14\n532\n"
-    "1 7 14\n"
-    "1 15 70\n"
-    "1 31 266 532\n"
+# ctab 3 bytes of count(0..3) for dfa, k = 3: the diagonal, then the
+# columns 4..6, one per line, in hexadecimal.
+_DFA3_GOLDEN_3 = (
+    "ctab 3\nkind dfa\nk 3\nn_max 3\n"
+    "checksum 3adaaa140200054f976ada4d190ceb5eeb2875dc9c5c9b09d1ec5e98965b28ee\n"
+    "1\n1\ne\n214\n"
+    "1 7 e\n"
+    "1 f 46\n"
+    "1 1f 10a 214\n"
 )
+# The same counts in decimal, as ctab 2, the cache's earlier layout: the
+# input of the migration tests here, in test_cli.py and in
+# tools/cli_compare.py.
+_DFA3_GOLDEN_2 = (Path(__file__).parent / "fixtures" / "dfa_k3_ctab2.ctab").read_text(encoding="ascii")
 
 
 def test_cached_diagonal_golden_bytes(tmp_path):
     path = tmp_path / "dfa-k3.ctab"
     assert cached_diagonal("dfa", 3, 3, path) == [1, 1, 14, 532]
-    assert path.read_bytes() == _DFA3_GOLDEN_2.encode("ascii")
+    assert path.read_bytes() == _DFA3_GOLDEN_3.encode("ascii")
     wedge = build_table("dfa", 3, 6)
-    tail = [line.split() for line in _DFA3_GOLDEN_2.splitlines()[-3:]]
-    assert tail == [[str(v) for v in wedge.columns[n]] for n in (4, 5, 6)]
+    for golden, base in ((_DFA3_GOLDEN_3, 16), (_DFA3_GOLDEN_2, 10)):
+        tail = [[int(v, base) for v in line.split()] for line in golden.splitlines()[-3:]]
+        assert tail == [wedge.columns[n] for n in (4, 5, 6)]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -218,7 +227,7 @@ def test_cached_diagonal_resumes_from_its_tail(tmp_path, kind, k):
     # the file reloads as the diagonal and the last k columns of the wedge
     magic, _, _, diagonal, tail = tables._load_diagonal(path)
     wedge = build_table(kind, k, 9 * (k - 1))
-    assert magic == "ctab 2" and diagonal == full
+    assert magic == "ctab 3" and diagonal == full
     assert tail == wedge.columns[-k:]
 
 
@@ -233,23 +242,88 @@ def test_interrupted_cache_save_keeps_old_file(tmp_path, torn_writes):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_ctab_1_is_migrated_to_ctab_2(tmp_path):
+def test_ctab_1_is_migrated_to_ctab_3(tmp_path):
     path = tmp_path / "compacted-k3.ctab"
     save_table(build_table("compacted", 3, 11), path)
     assert cached_diagonal("compacted", 3, 4, path) == diagonal_sequence("compacted", 3, 4)
     magic, kind, k, diagonal, tail = tables._load_diagonal(path)
-    assert (magic, kind, k) == ("ctab 2", "compacted", 3)
+    assert (magic, kind, k) == ("ctab 3", "compacted", 3)
     # column 11 has no diagonal entry; the file keeps count(0..5) and
     # columns 8..10
     assert diagonal == diagonal_sequence("compacted", 3, 5)
     assert tail == build_table("compacted", 3, 10).columns[8:]
 
 
+@pytest.mark.parametrize("n_max", [2, 3, 5])
+def test_ctab_2_is_migrated_to_ctab_3(tmp_path, n_max):
+    path = tmp_path / "dfa-k3.ctab"
+    path.write_text(_DFA3_GOLDEN_2, encoding="ascii")
+    assert cached_diagonal("dfa", 3, n_max, path) == diagonal_sequence("dfa", 3, n_max)
+    # a read within the file's n_max keeps its counts; a longer one extends them
+    fresh = tmp_path / "fresh.ctab"
+    cached_diagonal("dfa", 3, max(n_max, 3), fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    if n_max <= 3:
+        assert path.read_bytes() == _DFA3_GOLDEN_3.encode("ascii")
+
+
 def test_load_table_refuses_ctab_2(tmp_path):
-    path = tmp_path / "relaxed-k2.ctab"
-    cached_diagonal("relaxed", 2, 3, path)
-    with pytest.raises(CacheError, match="cache-version"):
+    path = tmp_path / "dfa-k3.ctab"
+    path.write_text(_DFA3_GOLDEN_2, encoding="ascii")
+    with pytest.raises(CacheError, match="cache-version: a ctab 2 file"):
         load_table(path)
+    cached_diagonal("dfa", 3, 3, path)
+    with pytest.raises(CacheError, match="cache-version: a ctab 3 file"):
+        load_table(path)
+
+
+# The first relaxed k = 3 count over CPython's default 4,300-digit int-str
+# limit is count(757); count(800) has 4,585 digits.
+BIG_N = 800
+
+
+@pytest.fixture
+def default_int_limit():
+    """Run under CPython's default int-str limit, whatever an in-process
+    CLI run set it to before."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python before 3.11 has no int-str limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_cache_round_trips_counts_over_the_int_str_limit(tmp_path, default_int_limit):
+    path = tmp_path / "relaxed-k3.ctab"
+    cached_diagonal("relaxed", 3, BIG_N - 1, path)
+    start = time.perf_counter()
+    extended = cached_diagonal("relaxed", 3, BIG_N, path)  # read, two columns, write
+    warm = cached_diagonal("relaxed", 3, BIG_N, path)
+    elapsed = time.perf_counter() - start
+    assert extended == warm == diagonal_sequence("relaxed", 3, BIG_N)
+    assert math.log10(warm[-1]) > 4300
+    assert elapsed <= 1.0
+
+
+def test_legacy_cell_over_the_int_str_limit_names_the_limit(tmp_path, default_int_limit):
+    path = tmp_path / "relaxed-k3.ctab"
+    diagonal = cached_diagonal("relaxed", 3, BIG_N, path)
+    # the same file as ctab 2, in decimal, converted with the limit lifted
+    *head, body = path.read_text().split("\n", 5)
+    sys.set_int_max_str_digits(0)
+    body = "".join(" ".join(str(int(v, 16)) for v in line.split(" ")) + "\n" for line in body.splitlines())
+    sys.set_int_max_str_digits(4300)
+    head[0], head[4] = "ctab 2", "checksum " + hashlib.sha256(body.encode("ascii")).hexdigest()
+    legacy = "\n".join(head) + "\n" + body
+    path.write_text(legacy)
+    with pytest.raises(CacheError, match=r"^cache-limit: .*4300 digits.*set_int_max_str_digits"):
+        cached_diagonal("relaxed", 3, BIG_N, path)
+    assert path.read_text() == legacy
+    # with the limit raised, as the CLI raises it, the file migrates
+    sys.set_int_max_str_digits(0)
+    assert cached_diagonal("relaxed", 3, BIG_N, path) == diagonal
+    assert path.read_text().startswith("ctab 3\n")
 
 
 def test_load_rejects_corruption(tmp_path):
