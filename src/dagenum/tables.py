@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from collections import deque, namedtuple
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, islice
 from math import log2, log10, sqrt
 from pathlib import Path
 
@@ -225,24 +225,27 @@ def _check_match(found_kind: str, found_k: int, kind: str, k: int) -> None:
         )
 
 
-# ctab 1 holds the whole wedge (save_table/load_table); ctab 2 and ctab 3,
-# the CLI's cache, hold the diagonal and the last k columns.  All share the
-# header, the checksum and the atomic write.  ctab 3 writes its integers in
-# hexadecimal, which CPython converts in linear time and outside the int-str
-# digit limit.  ctab 1 and ctab 2 are decimal; the cache reads both and
-# rewrites them as ctab 3.
+# ctab 1 holds the whole wedge (save_table/load_table); ctab 2, 3 and 4, the
+# CLI's cache, hold the diagonal and the last k columns.  All share the ASCII
+# header, the checksum (sha256 of the body bytes) and the atomic write.
+# ctab 4 writes each integer as its big-endian bytes behind a 4-byte
+# big-endian byte count, which CPython converts in C, in linear time and
+# outside the int-str digit limit, at half the size of hexadecimal text.
+# ctab 1 and ctab 2 are decimal text, ctab 3 hexadecimal text; the cache
+# reads all three and rewrites them as ctab 4.
 _MAGIC = "ctab 1"
 _MAGIC_2 = "ctab 2"
 _MAGIC_3 = "ctab 3"
+_MAGIC_4 = "ctab 4"
 
 
-def _checksum(body: str) -> str:
+def _checksum(body) -> str:
     import hashlib  # only the .ctab path loads it
 
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+    return hashlib.sha256(body).hexdigest()
 
 
-def _write_ctab(path, magic: str, kind: str, k: int, n_max: int, body: str) -> None:
+def _write_ctab(path, magic: str, kind: str, k: int, n_max: int, body: bytes) -> None:
     checksum = _checksum(body)
     header = f"{magic}\nkind {kind}\nk {k}\nn_max {n_max}\nchecksum {checksum}\n"
     # Write beside the target and rename over it, so an interrupted save
@@ -250,29 +253,36 @@ def _write_ctab(path, magic: str, kind: str, k: int, n_max: int, body: str) -> N
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(header + body, encoding="ascii")
+        tmp.write_bytes(header.encode("ascii") + body)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _read_ctab(path) -> tuple[str, str, int, int, list[str]]:
-    """Magic, kind, k, n_max and body lines of a .ctab file of any
-    layout, once its header parses and its checksum matches."""
+def _read_ctab(path) -> tuple[str, str, int, int, list[str] | memoryview]:
+    """Magic, kind, k, n_max and body of a .ctab file of any layout, once
+    its header parses and its checksum matches.  The body is its lines for
+    the text layouts (ctab 1 to 3) and its bytes for ctab 4."""
     try:
-        text = Path(path).read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()
+    except OSError as exc:
         raise CacheError(f"cache-corrupt: unreadable file ({exc})") from None
-    head, sep, body = text.partition("checksum ")
-    if not sep:
+    at = data.find(b"checksum ")
+    if at < 0:
         raise CacheError("cache-corrupt: missing checksum line")
-    checksum, nl, body = body.partition("\n")
-    if not nl:
+    end = data.find(b"\n", at)
+    if end < 0:
         raise CacheError("cache-corrupt: truncated header")
-    head_lines = head.splitlines()
-    if len(head_lines) != 4 or head_lines[0] not in (_MAGIC, _MAGIC_2, _MAGIC_3):
-        raise CacheError("cache-corrupt: bad header")
+    try:
+        header = data[:end].decode("ascii")
+        head_lines, checksum = header[:at].splitlines(), header[at + 9 :]
+        if len(head_lines) != 4 or head_lines[0] not in (_MAGIC, _MAGIC_2, _MAGIC_3, _MAGIC_4):
+            raise CacheError("cache-corrupt: bad header")
+        # a text layout is ASCII throughout, a ctab 4 body is binary
+        text = None if head_lines[0] == _MAGIC_4 else data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"cache-corrupt: unreadable file ({exc})") from None
     try:
         kind = head_lines[1].removeprefix("kind ").strip()
         k = int(head_lines[2].removeprefix("k ").strip())
@@ -281,9 +291,10 @@ def _read_ctab(path) -> tuple[str, str, int, int, list[str]]:
         raise CacheError("cache-corrupt: malformed header fields") from None
     if kind not in KINDS or k < 2 or n_max < 0:
         raise CacheError("cache-corrupt: malformed header fields")
+    body = memoryview(data)[end + 1 :]
     if _checksum(body) != checksum:
         raise CacheError("cache-corrupt: checksum mismatch")
-    return head_lines[0], kind, k, n_max, body.splitlines()
+    return head_lines[0], kind, k, n_max, body if text is None else text[end + 1 :].splitlines()
 
 
 def _entry_error(exc: ValueError) -> CacheError:
@@ -313,7 +324,7 @@ def save_table(table: CountTable, path) -> None:
         for m in range(table.n_max // (k - 1) + 1)
         for n in range((k - 1) * m, table.n_max + 1)
     )
-    _write_ctab(path, _MAGIC, table.kind, k, table.n_max, body)
+    _write_ctab(path, _MAGIC, table.kind, k, table.n_max, body.encode("ascii"))
 
 
 def _wedge_from_lines(kind: str, k: int, n_max: int, raw: list[str]) -> CountTable:
@@ -344,6 +355,32 @@ def _tail_columns(k: int, n_max: int) -> range:
     return range(max(0, c - k + 1), c + 1)
 
 
+def _pack(values) -> bytes:
+    """ctab 4 body: each value as a 4-byte big-endian byte count L, then its
+    L big-endian bytes (zero has L = 0)."""
+    parts = []
+    for v in values:
+        size = (v.bit_length() + 7) // 8
+        parts += (size.to_bytes(4, "big"), v.to_bytes(size, "big"))
+    return b"".join(parts)
+
+
+def _unpack(body: memoryview, count: int) -> list[int]:
+    """The count values of a ctab 4 body, which must end with the last."""
+    values, pos, end = [], 0, len(body)
+    for _ in range(count):
+        if pos == end:
+            raise CacheError("cache-corrupt: wrong entry count")
+        start = pos + 4
+        pos = start + int.from_bytes(body[pos:start], "big")
+        if pos > end:
+            raise CacheError("cache-corrupt: truncated entry")
+        values.append(int.from_bytes(body[start:pos], "big"))
+    if pos != end:
+        raise CacheError("cache-corrupt: wrong entry count")
+    return values
+
+
 def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
     """Magic, kind, k, diagonal and tail of a cache file; a ctab 1 wedge is
     cut down to its diagonal and last k columns."""
@@ -353,17 +390,23 @@ def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
         n_max //= k - 1
         diagonal = [columns[(k - 1) * n][n] for n in range(n_max + 1)]
         return magic, kind, k, diagonal, [columns[n] for n in _tail_columns(k, n_max)]
-    cols = _tail_columns(k, n_max)
-    if len(raw) != n_max + 1 + len(cols):
-        raise CacheError("cache-corrupt: wrong entry count")
-    base = 16 if magic == _MAGIC_3 else 10
-    try:
-        diagonal = [int(v, base) for v in raw[: n_max + 1]]
-        tail = [[int(v, base) for v in line.split(" ")] for line in raw[n_max + 1 :]]
-    except ValueError as exc:
-        raise _entry_error(exc) from None
-    if any(len(col) != n // (k - 1) + 1 for n, col in zip(cols, tail)):
-        raise CacheError("cache-corrupt: wrong tail-column length")
+    sizes = [n // (k - 1) + 1 for n in _tail_columns(k, n_max)]
+    if magic == _MAGIC_4:
+        # the layout fixes each column's length, so the entry count checks it
+        values = iter(_unpack(raw, n_max + 1 + sum(sizes)))
+        diagonal = list(islice(values, n_max + 1))
+        tail = [list(islice(values, size)) for size in sizes]
+    else:
+        if len(raw) != n_max + 1 + len(sizes):
+            raise CacheError("cache-corrupt: wrong entry count")
+        base = 16 if magic == _MAGIC_3 else 10
+        try:
+            diagonal = [int(v, base) for v in raw[: n_max + 1]]
+            tail = [[int(v, base) for v in line.split(" ")] for line in raw[n_max + 1 :]]
+        except ValueError as exc:
+            raise _entry_error(exc) from None
+        if list(map(len, tail)) != sizes:
+            raise CacheError("cache-corrupt: wrong tail-column length")
     # the diagonal starts at count(0) = 1, as every column starts at m = 0
     _check_cells(kind, [diagonal, *tail])
     if tail[-1][-1] != diagonal[-1]:
@@ -374,11 +417,11 @@ def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
 def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     """diagonal_sequence(kind, k, n_max) through the cache file at path.
 
-    The file (ctab 3) holds count(0..N) and the columns max(0, c-k+1)..c,
-    c = (k-1)N, in hexadecimal.  When N >= n_max it is only read;
-    otherwise the DP resumes from those columns, and the longer diagonal is
-    saved.  A missing file is built from column 0; a ctab 1 or ctab 2 file
-    is read once and rewritten as ctab 3.
+    The file (ctab 4) holds count(0..N) and the columns max(0, c-k+1)..c,
+    c = (k-1)N, in binary.  When N >= n_max it is only read; otherwise the
+    DP resumes from those columns, and the longer diagonal is saved.  A
+    missing file is built from column 0; a ctab 1, 2 or 3 file is read once
+    and rewritten as ctab 4.
     """
     path = Path(path)
     magic, diagonal, tail = None, [], []
@@ -387,10 +430,8 @@ def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     _check_args(kind, k, n_max)
     if magic is not None:
         _check_match(found_kind, found_k, kind, k)
-    if n_max >= len(diagonal) or magic != _MAGIC_3:
+    if n_max >= len(diagonal) or magic != _MAGIC_4:
         _check_budget(kind, k, (k - 1) * n_max, wedge=False)
         tail = _extend_diagonal(kind, k, diagonal, tail, n_max)
-        body = "".join(f"{v:x}\n" for v in diagonal)
-        body += "".join(" ".join(map("{:x}".format, col)) + "\n" for col in tail)
-        _write_ctab(path, _MAGIC_3, kind, k, len(diagonal) - 1, body)
+        _write_ctab(path, _MAGIC_4, kind, k, len(diagonal) - 1, _pack(chain(diagonal, *tail)))
     return diagonal[: n_max + 1]

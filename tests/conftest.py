@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -37,6 +38,36 @@ def run_python():
         )
 
     return run
+
+
+@pytest.fixture
+def cache_writes(monkeypatch):
+    """The path of every .ctab file written from here on, in order."""
+    from dagenum import tables
+
+    written = []
+    real_write = tables._write_ctab
+
+    def write(path, *args):
+        written.append(pathlib.Path(path))
+        real_write(path, *args)
+
+    monkeypatch.setattr(tables, "_write_ctab", write)
+    return written
+
+
+@pytest.fixture(scope="session")
+def resign():
+    """resign(path, edit) applies edit to the body bytes of a .ctab file and
+    signs it again, so that only the structural checks can catch the change."""
+
+    def resign(path: pathlib.Path, edit) -> None:
+        *head, _, body = path.read_bytes().split(b"\n", 5)
+        body = edit(body)
+        checksum = b"checksum " + hashlib.sha256(body).hexdigest().encode("ascii")
+        path.write_bytes(b"\n".join([*head, checksum, body]))
+
+    return resign
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,4 +1,3 @@
-import hashlib
 import io
 import json
 import sys
@@ -101,51 +100,58 @@ def test_cached_count_equals_uncached(capsys, tmp_path, kind, k):
         expected = run(capsys, _count(kind, k, n_max, "--format", fmt))
         assert run(capsys, _count(kind, k, n_max, "--format", fmt, *cache)) == expected
         assert expected[0] == 0
-    assert (tmp_path / f"{kind}-k{k}.ctab").read_text().startswith("ctab 3\n")
+    assert (tmp_path / f"{kind}-k{k}.ctab").read_bytes().startswith(b"ctab 4\n")
 
 
-def _rewrite_body(path, edit):
-    """Apply edit to the body lines of a cache file and re-sign it, so that
-    only the structural checks can catch the change."""
-    lines = path.read_text().splitlines()
-    body = "".join(f"{line}\n" for line in edit(lines[5:]))
-    lines[4] = "checksum " + hashlib.sha256(body.encode("ascii")).hexdigest()
-    path.write_text("\n".join(lines[:5]) + "\n" + body)
-
-
+# Damage to the ctab 4 file of relaxed k = 2 count(0..6), as (edit, re-signed,
+# error); a re-signed edit takes the body, the others the whole file.  Its
+# last entry, the top cell of column 6, is 18,628: the length prefix
+# 00 00 00 02, then 48 c4.
 _CACHE_DAMAGE = {
-    "edited-digit": lambda text: text[:-2] + ("1" if text[-2] != "1" else "2") + "\n",
-    "truncated-body": lambda text: text[: len(text) * 2 // 3],
-    "ctab-9": lambda text: text.replace("ctab 3", "ctab 9", 1),
+    "edited-digit": (lambda data: data[:-1] + bytes([data[-1] ^ 1]), False, "checksum mismatch"),
+    "truncated-body": (lambda data: data[: len(data) * 2 // 3], False, "checksum mismatch"),
+    "ctab-9": (lambda data: data.replace(b"ctab 4", b"ctab 9", 1), False, "bad header"),
+    "cut-length-prefix": (lambda body: body[:-4], True, "truncated entry"),
+    "length-past-end": (lambda body: body[:-3] + b"\x03" + body[-2:], True, "truncated entry"),
+    "trailing-bytes": (lambda body: body + bytes(4), True, "wrong entry count"),
+    "one-entry-short": (lambda body: body[:-6], True, "wrong entry count"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(_CACHE_DAMAGE))
-def test_count_damaged_cache_exits_3(capsys, tmp_path, damage):
+def test_count_damaged_cache_exits_3(capsys, tmp_path, resign, damage):
     argv = _count("relaxed", 2, 6, "--cache-dir", str(tmp_path))
     assert run(capsys, argv)[0] == 0
     path = tmp_path / "relaxed-k2.ctab"
-    path.write_text(_CACHE_DAMAGE[damage](path.read_text()))
+    edit, signed, message = _CACHE_DAMAGE[damage]
+    if signed:
+        resign(path, edit)
+    else:
+        path.write_bytes(edit(path.read_bytes()))
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
-    assert err.startswith("cache error: cache-corrupt")
+    assert err == f"cache error: cache-corrupt: {message}\n"
 
 
-def test_count_wrong_tail_column_length_exits_3(capsys, tmp_path):
-    argv = _count("dfa", 3, 4, "--cache-dir", str(tmp_path))
-    assert run(capsys, argv)[0] == 0
-    _rewrite_body(tmp_path / "dfa-k3.ctab", lambda lines: lines[:-2] + [lines[-2] + " 5", lines[-1]])
-    code, _, err = run(capsys, argv)
+def _legacy_cache(path, fixtures_dir, resign, edit):
+    """The ctab 3 fixture at path, its body lines edited and re-signed."""
+    path.write_bytes((fixtures_dir / "dfa_k3_ctab3.ctab").read_bytes())
+    resign(path, lambda body: "".join(f"{line}\n" for line in edit(body.decode().splitlines())).encode())
+
+
+def test_count_wrong_tail_column_length_exits_3(capsys, tmp_path, fixtures_dir, resign):
+    _legacy_cache(tmp_path / "dfa-k3.ctab", fixtures_dir, resign,
+                  lambda lines: lines[:-2] + [lines[-2] + " 5", lines[-1]])
+    code, _, err = run(capsys, _count("dfa", 3, 3, "--cache-dir", str(tmp_path)))
     assert code == 3
     assert err == "cache error: cache-corrupt: wrong tail-column length\n"
 
 
-def test_count_non_hex_entry_exits_3(capsys, tmp_path):
-    argv = _count("dfa", 3, 4, "--cache-dir", str(tmp_path))
-    assert run(capsys, argv)[0] == 0
+def test_count_non_hex_entry_exits_3(capsys, tmp_path, fixtures_dir, resign):
     # "g" is no hex digit; the file is re-signed, so the checksum holds
-    _rewrite_body(tmp_path / "dfa-k3.ctab", lambda lines: lines[:-1] + [lines[-1] + "g"])
-    code, out, err = run(capsys, argv)
+    _legacy_cache(tmp_path / "dfa-k3.ctab", fixtures_dir, resign,
+                  lambda lines: lines[:-1] + [lines[-1] + "g"])
+    code, out, err = run(capsys, _count("dfa", 3, 3, "--cache-dir", str(tmp_path)))
     assert code == 3 and out == ""
     assert err == "cache error: cache-corrupt: non-integer entry\n"
 
@@ -162,29 +168,39 @@ def test_count_mismatched_cache_exits_3(capsys, tmp_path, request_kind, request_
     )
 
 
-def test_count_migrates_ctab_1_cache(capsys, tmp_path):
+def test_count_migrates_ctab_1_cache(capsys, tmp_path, cache_writes):
     path = tmp_path / "dfa-k2.ctab"
     save_table(build_table("dfa", 2, 8), path)
     expected = run(capsys, _count("dfa", 2, 5, "--format", "json"))
     assert run(capsys, _count("dfa", 2, 5, "--format", "json", "--cache-dir", str(tmp_path))) == expected
-    assert path.read_text().startswith("ctab 3\n")
-    # the migrated file serves the rest of the old wedge's diagonal
+    assert path.read_bytes().startswith(b"ctab 4\n")
+    # the migrated file serves the rest of the old wedge's diagonal, unwritten
     assert run(capsys, _count("dfa", 2, 8, "--cache-dir", str(tmp_path))) == run(
         capsys, _count("dfa", 2, 8)
     )
+    assert len(cache_writes) == 2  # save_table, then the migration
 
 
-def test_count_migrates_ctab_2_cache(capsys, tmp_path, fixtures_dir):
+def _check_text_cache_migrates(capsys, tmp_path, cache_writes, fixture):
     path = tmp_path / "dfa-k3.ctab"
-    path.write_bytes((fixtures_dir / "dfa_k3_ctab2.ctab").read_bytes())
+    path.write_bytes(fixture.read_bytes())
     expected = run(capsys, _count("dfa", 3, 3, "--format", "json"))
     assert run(capsys, _count("dfa", 3, 3, "--format", "json", "--cache-dir", str(tmp_path))) == expected
-    assert path.read_text().startswith("ctab 3\n")
-    # the migrated file is read and extended like one written as ctab 3
-    for n_max in (2, 6):
-        assert run(capsys, _count("dfa", 3, n_max, "--cache-dir", str(tmp_path))) == run(
-            capsys, _count("dfa", 3, n_max)
-        )
+    assert path.read_bytes().startswith(b"ctab 4\n")
+    # the migrated file is read like one written as ctab 4, and left as it is
+    stamp = path.read_bytes()
+    assert run(capsys, _count("dfa", 3, 2, "--cache-dir", str(tmp_path))) == run(capsys, _count("dfa", 3, 2))
+    assert path.read_bytes() == stamp and cache_writes == [path]
+    # and extended like one
+    assert run(capsys, _count("dfa", 3, 6, "--cache-dir", str(tmp_path))) == run(capsys, _count("dfa", 3, 6))
+
+
+def test_count_migrates_ctab_2_cache(capsys, tmp_path, fixtures_dir, cache_writes):
+    _check_text_cache_migrates(capsys, tmp_path, cache_writes, fixtures_dir / "dfa_k3_ctab2.ctab")
+
+
+def test_count_migrates_ctab_3_cache(capsys, tmp_path, fixtures_dir, cache_writes):
+    _check_text_cache_migrates(capsys, tmp_path, cache_writes, fixtures_dir / "dfa_k3_ctab3.ctab")
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,34 @@ def test_count_and_version_load_no_unused_module(run_python):
         assert set(_loaded_after(run_python, [argv], _UNUSED_BY_COUNT)) <= bare, argv
 
 
+# Forgets the modules named in the JSON list sys.argv[2], which site may
+# have loaded, before it imports dagenum; then runs main() on each argv in
+# the JSON list sys.argv[1] and prints which of them got imported again.
+_IMPORTED_BY_COMMANDS = """
+import contextlib, io, json, sys
+watched = json.loads(sys.argv[2])
+for name in watched:
+    sys.modules.pop(name, None)
+from dagenum.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            raise SystemExit(f"{argv} failed")
+print(json.dumps([m for m in watched if m in sys.modules]))
+"""
+
+
+def test_cached_count_imports_no_codec_module(run_python, tmp_path):
+    # ctab 4 converts its integers with int.to_bytes and int.from_bytes alone
+    cache = ["--cache-dir", str(tmp_path)]
+    argvs = [["count", "--kind", "relaxed", "--k", "3", "--n-max", n, *cache] for n in ("8", "12", "12")]
+    watched = ["struct", "zlib", "base64", "binascii", "array", "pickle"]
+    proc = run_python("-c", _IMPORTED_BY_COMMANDS, json.dumps(argvs), json.dumps(watched))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    assert (tmp_path / "relaxed-k3.ctab").read_bytes().startswith(b"ctab 4\n")
+
+
 def test_asym_command_loads_numpy(run_python):
     argvs = [["asym", "bounds", "--side", "lower", "--k", "3", "--i-max", "20"]]
     assert _loaded_after(run_python, argvs) == ["numpy", "dagenum.asym"]

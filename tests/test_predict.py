@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -80,3 +81,65 @@ def test_ratio_other_kinds_exact_route():
     pts = ratio_diagnostic("compacted", 2, [16, 32])
     assert all(pt.route == "exact" for pt in pts)
     assert pts[0].log_ratio != pts[1].log_ratio
+
+
+# The growth law above the exact sizes.  log rho(n) = ln r_n - predictor_log
+# is fitted by least squares as C + a n^(-1/3) + b n^(-2/3), plus one free
+# term at a time, over n = 64 * 2^(t/4) up to the scaled route's 20,000-row
+# ceiling (k n <= 20,000): 30 sizes to 9,742 for k = 2, 27 to 5,793 for
+# k = 3.  A free delta n^(1/3) or epsilon ln n term measures how far the
+# predictor's n^(1/3) coefficient and ln n exponent are from the counts'.
+# The bounds were fixed before the test existed, at 3 to 8 times the
+# measured values, and are not to move to absorb a later change.
+#
+# Measured (relaxed):
+#   k = 2: C = 5.119, a = 3.172, b = -3.391, max residual 3.1e-4;
+#          delta = -1.3e-4, epsilon = -1.3e-3
+#   k = 3: C = 7.530, a = 3.651, b = -4.020, max residual 5.5e-4;
+#          delta = -3.6e-4, epsilon = -3.3e-3
+# Under the three-term fit the doubling gap |log rho(2n) - log rho(n)| is
+# A m - |B| m^2 with m = n^(-1/3), A = a (1 - 2^(-1/3)) and
+# |B| = |b| (1 - 2^(-2/3)).  It peaks at n = (2|B|/A)^3, near n = 56 for
+# k = 2 and n = 62 for k = 3: so the gaps rise from n = 32 to 64 and fall
+# from there, which is why acceptance 7's first pair fails.
+_GROWTH_DELTA_BOUND = 1e-3
+_GROWTH_EPSILON_BOUND = 1e-2
+
+
+@functools.cache
+def _growth_fit(k: int) -> dict:
+    import numpy as np
+
+    ns = []
+    while k * round(64 * 2 ** (len(ns) / 4)) <= 20_000:
+        ns.append(round(64 * 2 ** (len(ns) / 4)))
+    points = ratio_diagnostic("relaxed", k, ns)
+    n = np.array([p.n for p in points], dtype=float)
+    y = np.array([p.log_ratio for p in points])
+    base = [np.ones_like(n), n ** (-1 / 3), n ** (-2 / 3)]
+
+    def fit(*extra):
+        return np.linalg.lstsq(np.column_stack([*base, *extra]), y, rcond=None)[0]
+
+    C, a, b = fit()
+    A, B = a * (1 - 2 ** (-1 / 3)), abs(b) * (1 - 2 ** (-2 / 3))
+    return {
+        "sizes": (ns[0], ns[-1], len(ns)),
+        "C": C, "a": a, "b": b,
+        "gap_peak_n": (2 * B / A) ** 3,
+        "delta": fit(n ** (1 / 3))[-1],
+        "epsilon": fit(np.log(n))[-1],
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_growth_law_cube_root_coefficient(k):
+    fit = _growth_fit(k)
+    assert fit["sizes"] == {2: (64, 9742, 30), 3: (64, 5793, 27)}[k]
+    assert abs(fit["delta"]) <= _GROWTH_DELTA_BOUND, fit
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_growth_law_log_exponent(k):
+    fit = _growth_fit(k)
+    assert abs(fit["epsilon"]) <= _GROWTH_EPSILON_BOUND, fit

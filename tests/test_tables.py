@@ -191,28 +191,34 @@ def test_streaming_route_has_a_byte_budget(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-# ctab 3 bytes of count(0..3) for dfa, k = 3: the diagonal, then the
-# columns 4..6, one per line, in hexadecimal.
-_DFA3_GOLDEN_3 = (
-    "ctab 3\nkind dfa\nk 3\nn_max 3\n"
-    "checksum 3adaaa140200054f976ada4d190ceb5eeb2875dc9c5c9b09d1ec5e98965b28ee\n"
-    "1\n1\ne\n214\n"
-    "1 7 e\n"
-    "1 f 46\n"
-    "1 1f 10a 214\n"
+# ctab 4 bytes of count(0..3) for dfa, k = 3: the diagonal, then the
+# columns 4..6, each integer as a 4-byte big-endian byte count and then its
+# big-endian bytes.
+_DFA3_GOLDEN_4 = (
+    b"ctab 4\nkind dfa\nk 3\nn_max 3\n"
+    b"checksum 89124b4beb989d26eb12cb9aa143b419be10169687c41a8fcb50e60e0d053cfb\n"
+) + bytes.fromhex(
+    "00000001 01  00000001 01  00000001 0e  00000002 0214"  # 1, 1, 14, 532
+    "00000001 01  00000001 07  00000001 0e"  # column 4: 1, 7, 14
+    "00000001 01  00000001 0f  00000001 46"  # column 5: 1, 15, 70
+    "00000001 01  00000001 1f  00000002 010a  00000002 0214"  # column 6: 1, 31, 266, 532
 )
-# The same counts in decimal, as ctab 2, the cache's earlier layout: the
-# input of the migration tests here, in test_cli.py and in
-# tools/cli_compare.py.
-_DFA3_GOLDEN_2 = (Path(__file__).parent / "fixtures" / "dfa_k3_ctab2.ctab").read_text(encoding="ascii")
+# The same counts in the cache's earlier text layouts, decimal ctab 2 and
+# hexadecimal ctab 3: the inputs of the migration tests here, in test_cli.py
+# and in tools/cli_compare.py.
+_FIXTURES = Path(__file__).parent / "fixtures"
+_LEGACY = {
+    "ctab 2": ((_FIXTURES / "dfa_k3_ctab2.ctab").read_bytes(), 10),
+    "ctab 3": ((_FIXTURES / "dfa_k3_ctab3.ctab").read_bytes(), 16),
+}
 
 
 def test_cached_diagonal_golden_bytes(tmp_path):
     path = tmp_path / "dfa-k3.ctab"
     assert cached_diagonal("dfa", 3, 3, path) == [1, 1, 14, 532]
-    assert path.read_bytes() == _DFA3_GOLDEN_3.encode("ascii")
+    assert path.read_bytes() == _DFA3_GOLDEN_4
     wedge = build_table("dfa", 3, 6)
-    for golden, base in ((_DFA3_GOLDEN_3, 16), (_DFA3_GOLDEN_2, 10)):
+    for golden, base in _LEGACY.values():
         tail = [[int(v, base) for v in line.split()] for line in golden.splitlines()[-3:]]
         assert tail == [wedge.columns[n] for n in (4, 5, 6)]
 
@@ -227,7 +233,7 @@ def test_cached_diagonal_resumes_from_its_tail(tmp_path, kind, k):
     # the file reloads as the diagonal and the last k columns of the wedge
     magic, _, _, diagonal, tail = tables._load_diagonal(path)
     wedge = build_table(kind, k, 9 * (k - 1))
-    assert magic == "ctab 3" and diagonal == full
+    assert magic == "ctab 4" and diagonal == full
     assert tail == wedge.columns[-k:]
 
 
@@ -242,39 +248,85 @@ def test_interrupted_cache_save_keeps_old_file(tmp_path, torn_writes):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_ctab_1_is_migrated_to_ctab_3(tmp_path):
+def test_ctab_1_is_migrated_to_ctab_4(tmp_path, cache_writes):
     path = tmp_path / "compacted-k3.ctab"
     save_table(build_table("compacted", 3, 11), path)
     assert cached_diagonal("compacted", 3, 4, path) == diagonal_sequence("compacted", 3, 4)
     magic, kind, k, diagonal, tail = tables._load_diagonal(path)
-    assert (magic, kind, k) == ("ctab 3", "compacted", 3)
+    assert (magic, kind, k) == ("ctab 4", "compacted", 3)
     # column 11 has no diagonal entry; the file keeps count(0..5) and
     # columns 8..10
     assert diagonal == diagonal_sequence("compacted", 3, 5)
     assert tail == build_table("compacted", 3, 10).columns[8:]
+    # written once by save_table, once by the migration, then only read
+    assert cached_diagonal("compacted", 3, 5, path) == diagonal
+    assert cache_writes == [path, path]
 
 
+@pytest.mark.parametrize("layout", sorted(_LEGACY), ids=lambda layout: layout.replace(" ", ""))
 @pytest.mark.parametrize("n_max", [2, 3, 5])
-def test_ctab_2_is_migrated_to_ctab_3(tmp_path, n_max):
+def test_text_cache_is_migrated_to_ctab_4(tmp_path, cache_writes, n_max, layout):
     path = tmp_path / "dfa-k3.ctab"
-    path.write_text(_DFA3_GOLDEN_2, encoding="ascii")
+    path.write_bytes(_LEGACY[layout][0])
     assert cached_diagonal("dfa", 3, n_max, path) == diagonal_sequence("dfa", 3, n_max)
     # a read within the file's n_max keeps its counts; a longer one extends them
     fresh = tmp_path / "fresh.ctab"
     cached_diagonal("dfa", 3, max(n_max, 3), fresh)
     assert path.read_bytes() == fresh.read_bytes()
     if n_max <= 3:
-        assert path.read_bytes() == _DFA3_GOLDEN_3.encode("ascii")
+        assert path.read_bytes() == _DFA3_GOLDEN_4
+    # rewritten once; the migrated file is then only read
+    assert cached_diagonal("dfa", 3, n_max, path) == diagonal_sequence("dfa", 3, n_max)
+    assert cache_writes == [path, fresh]
 
 
 def test_load_table_refuses_ctab_2(tmp_path):
     path = tmp_path / "dfa-k3.ctab"
-    path.write_text(_DFA3_GOLDEN_2, encoding="ascii")
-    with pytest.raises(CacheError, match="cache-version: a ctab 2 file"):
-        load_table(path)
+    for layout, (golden, _) in _LEGACY.items():
+        path.write_bytes(golden)
+        with pytest.raises(CacheError, match=f"cache-version: a {layout} file"):
+            load_table(path)
     cached_diagonal("dfa", 3, 3, path)
-    with pytest.raises(CacheError, match="cache-version: a ctab 3 file"):
+    with pytest.raises(CacheError, match="cache-version: a ctab 4 file"):
         load_table(path)
+
+
+def _length_past_end(values):
+    last = tables._pack(values[-1:])
+    size = int.from_bytes(last[:4], "big") + 1
+    return tables._pack(values[:-1]) + size.to_bytes(4, "big") + last[4:]
+
+
+# Damage to a relaxed k = 2 cache of count(0..6), as (a new body from the
+# body and its values, the error); every body is signed again.  The ctab 4
+# layout fixes each tail column's length, so a column one entry longer or
+# shorter shows as the wrong entry count, and its unsigned integers cannot
+# be negative.
+_CTAB4_DAMAGE = {
+    "one-entry-short": (lambda body, values: tables._pack(values[:-1]), "wrong entry count"),
+    "trailing-bytes": (lambda body, values: body + bytes(4), "wrong entry count"),
+    "cut-length-prefix": (lambda body, values: tables._pack(values[:-1]) + bytes(2), "truncated entry"),
+    "length-past-end": (lambda body, values: _length_past_end(values), "truncated entry"),
+    "boundary": (lambda body, values: tables._pack([2, *values[1:]]), "boundary row invariant broken"),
+    "zero-cell": (lambda body, values: tables._pack([1, 0, *values[2:]]),
+                  "zero relaxed entry inside the wedge"),
+    "disagree": (lambda body, values: tables._pack([*values[:-1], values[-1] + 1]),
+                 "diagonal and last column disagree"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_CTAB4_DAMAGE))
+def test_damaged_ctab_4_is_refused(tmp_path, resign, damage):
+    path = tmp_path / "relaxed-k2.ctab"
+    cached_diagonal("relaxed", 2, 6, path)
+    _, _, _, diagonal, tail = tables._load_diagonal(path)
+    values = diagonal + [v for col in tail for v in col]
+    edit, message = _CTAB4_DAMAGE[damage]
+    resign(path, lambda body: edit(body, values))
+    stamp = path.read_bytes()
+    with pytest.raises(CacheError, match=f"^cache-corrupt: {message}$"):
+        cached_diagonal("relaxed", 2, 6, path)
+    assert path.read_bytes() == stamp
 
 
 # The first relaxed k = 3 count over CPython's default 4,300-digit int-str
@@ -309,13 +361,13 @@ def test_cache_round_trips_counts_over_the_int_str_limit(tmp_path, default_int_l
 def test_legacy_cell_over_the_int_str_limit_names_the_limit(tmp_path, default_int_limit):
     path = tmp_path / "relaxed-k3.ctab"
     diagonal = cached_diagonal("relaxed", 3, BIG_N, path)
-    # the same file as ctab 2, in decimal, converted with the limit lifted
-    *head, body = path.read_text().split("\n", 5)
+    # the same counts as ctab 2, in decimal, converted with the limit lifted
+    _, _, _, _, tail = tables._load_diagonal(path)
     sys.set_int_max_str_digits(0)
-    body = "".join(" ".join(str(int(v, 16)) for v in line.split(" ")) + "\n" for line in body.splitlines())
+    body = "".join(f"{v}\n" for v in diagonal) + "".join(" ".join(map(str, col)) + "\n" for col in tail)
     sys.set_int_max_str_digits(4300)
-    head[0], head[4] = "ctab 2", "checksum " + hashlib.sha256(body.encode("ascii")).hexdigest()
-    legacy = "\n".join(head) + "\n" + body
+    head = f"ctab 2\nkind relaxed\nk 3\nn_max {BIG_N}\n"
+    legacy = head + "checksum " + hashlib.sha256(body.encode("ascii")).hexdigest() + "\n" + body
     path.write_text(legacy)
     with pytest.raises(CacheError, match=r"^cache-limit: .*4300 digits.*set_int_max_str_digits"):
         cached_diagonal("relaxed", 3, BIG_N, path)
@@ -323,7 +375,7 @@ def test_legacy_cell_over_the_int_str_limit_names_the_limit(tmp_path, default_in
     # with the limit raised, as the CLI raises it, the file migrates
     sys.set_int_max_str_digits(0)
     assert cached_diagonal("relaxed", 3, BIG_N, path) == diagonal
-    assert path.read_text().startswith("ctab 3\n")
+    assert path.read_bytes().startswith(b"ctab 4\n")
 
 
 def test_load_rejects_corruption(tmp_path):
