@@ -3,12 +3,12 @@
 Two separate enumerations of relaxed trees (a direct recursive builder and
 the decorated-path generator mapped through the bijection) let the test
 suite cross-check the bijection against the DP counts without sharing a
-code path.  A small-scale minimal-DFA counter provides the third sequence.
+code path.  The minimal-DFA counter decorates the same trees with accepting
+bits and provides the third sequence.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 from . import bijection, paths
@@ -17,7 +17,6 @@ from .trees import Child, Node, POINTER, RelaxedTree, SPINE, is_compacted
 # exhaustive-enumeration defaults; anything above needs an explicit limit
 DEFAULT_TREE_LIMITS = {2: 6, 3: 4, 4: 3}
 FALLBACK_TREE_LIMIT = 2
-DFA_STATE_LIMIT = 5
 
 
 def _tree_limit(k: int, limit: int | None) -> int:
@@ -102,63 +101,41 @@ def count_min_dfa_oracle(k: int, states: int, minimal: bool = True) -> int:
     Alignment with the dfa counting sequence: states = n + 1 where n indexes
     the diagonal (n transient states plus the dead state; n = 0 is the
     dead-initial automaton for the empty language).
+
+    Such an automaton is a relaxed tree whose sink is the dead state and
+    whose root is the initial state, decorated with one accepting bit per
+    internal node; so there are 2^n r_n of them, and the size cap is the
+    tree enumeration's.  It is minimal iff the bottom-up signatures
+    (bit, classes of the children) are pairwise distinct, the dead state's
+    (0, dead, ..., dead) included (Revuz 1992).  While they are distinct each
+    node is its own class, so a signature is (bit, child labels); the bits
+    are chosen in label order, and a repeated signature ends the branch.
     """
     if k < 1:
         raise ValueError(f"arity-k: {k}")
     if states < 1:
         raise ValueError(f"negative-size: {states}")
-    if states > DFA_STATE_LIMIT:
-        raise ValueError(f"too-large: states={states} exceeds limit {DFA_STATE_LIMIT}")
-    if states == 1:
-        # the dead state itself is initial; language is empty, trivially minimal
+    n = states - 1
+    if k == 1:  # a chain, whose last transient state must accept to be minimal
+        return 1 << (n - 1) if minimal and n else 1 << n
+    if not minimal:
+        return count_relaxed_oracle(k, n) << n
+    dead = (0, (1,) * k)
+    return sum(
+        _distinct_signatures([tuple(c.target for c in node.children) for node in t.nodes], {dead})
+        for t in enumerate_relaxed(k, n)
+    )
+
+
+def _distinct_signatures(rows: list[tuple[int, ...]], seen: set, i: int = 0) -> int:
+    """The accepting-bit choices for the nodes rows[i:] (their child labels,
+    in label order) whose signatures stay out of `seen` and pairwise distinct."""
+    if i == len(rows):
         return 1
-
-    transients = states - 1
-    dead = transients  # state indices 0..states-2 transient, last one dead
-
-    # candidate transition rows per transient state i: targets above i or dead.
-    # Any acyclic-except-dead automaton has a topological order of its
-    # transients with the initial state first, so up to isomorphism every
-    # class appears among these tables; BFS relabelling dedups the rest.
-    rows = [product([*range(i + 1, transients), dead], repeat=k) for i in range(transients)]
-    canonical: set = set()
-    for table in product(*rows):
-        delta = [*table, (dead,) * k]
-        order = _bfs_order(delta)
-        if len(order) != states:  # a state is unreachable from the initial one
-            continue
-        relabel = {q: new for new, q in enumerate(order)}
-        shape = tuple(tuple(relabel[r] for r in delta[q]) for q in order)
-        for acc_mask in range(1 << transients):
-            accepting = frozenset(i for i in range(transients) if acc_mask >> i & 1)
-            if minimal and not _is_minimal(delta, accepting, states, k):
-                continue
-            canonical.add((shape, tuple(sorted(relabel[q] for q in accepting))))
-    return len(canonical)
-
-
-def _bfs_order(delta) -> list[int]:
-    """The states reachable from the initial state 0, in BFS discovery order."""
-    order = [0]
-    for q in order:  # the loop reaches the states appended while it runs
-        for r in delta[q]:
-            if r not in order:
-                order.append(r)
-    return order
-
-
-def _is_minimal(delta, accepting, states: int, k: int) -> bool:
-    """Moore partition refinement over the complete automaton, dead included."""
-    cls = [1 if q in accepting else 0 for q in range(states)]
-    while True:
-        sigs = [(cls[q], tuple(cls[delta[q][a]] for a in range(k))) for q in range(states)]
-        remap: dict = {}
-        new_cls = []
-        for sig in sigs:
-            if sig not in remap:
-                remap[sig] = len(remap)
-            new_cls.append(remap[sig])
-        if new_cls == cls:
-            return len(remap) == states
-        cls = new_cls
-
+    total = 0
+    for sig in ((0, rows[i]), (1, rows[i])):
+        if sig not in seen:
+            seen.add(sig)
+            total += _distinct_signatures(rows, seen, i + 1)
+            seen.remove(sig)
+    return total

@@ -7,8 +7,10 @@ from dagenum.oracle import (
     count_relaxed_oracle,
     enumerate_relaxed,
 )
+from dagenum.tables import diagonal_sequence
 from dagenum.trees import validate_tree
 
+from dfa_reference import count_min_dfa_reference
 from known_values import known_row
 
 
@@ -52,12 +54,24 @@ def test_enumeration_guards():
     assert count_relaxed_oracle(7, 1, limit=1) == 1
 
 
-@pytest.mark.parametrize("k,states_max", [(2, 5), (3, 4), (4, 4), (5, 3)])
+# (2, 7), (3, 5) and (4, 4) reach the tree oracle's sizes n <= 6/4/3
+@pytest.mark.parametrize("k,states_max", [(2, 5), (2, 7), (3, 4), (3, 5), (4, 4), (5, 3)])
 def test_min_dfa_oracle_matches_known_row(k, states_max):
     # alignment: a size-n entry counts automata with n + 1 states
     row = known_row("dfa", k)
+    diagonal = diagonal_sequence("dfa", k, states_max - 1)
     for states in range(1, states_max + 1):
-        assert count_min_dfa_oracle(k, states) == row[states - 1]
+        assert count_min_dfa_oracle(k, states) == row[states - 1] == diagonal[states - 1]
+
+
+# every size both routes reach: the reference stops at 5 states, the oracle
+# at the tree enumeration's n <= 6/4/3/2 for k = 2/3/4/5
+@pytest.mark.parametrize("k,states_max", [(1, 5), (2, 5), (3, 5), (4, 4), (5, 3)])
+def test_min_dfa_oracle_matches_transition_tables(k, states_max):
+    for states in range(1, states_max + 1):
+        for minimal in (True, False):
+            expected = count_min_dfa_reference(k, states, minimal)
+            assert count_min_dfa_oracle(k, states, minimal) == expected, (states, minimal)
 
 
 def test_dropping_minimality_only_grows_the_count():
@@ -79,5 +93,11 @@ def test_dfa_guards():
         count_min_dfa_oracle(0, 2)
     with pytest.raises(ValueError, match="negative-size"):
         count_min_dfa_oracle(2, 0)
+    # the cap is the tree enumeration's, at n = states - 1
     with pytest.raises(ValueError, match="too-large"):
-        count_min_dfa_oracle(2, 6)
+        count_min_dfa_oracle(2, DEFAULT_TREE_LIMITS[2] + 2)
+    with pytest.raises(ValueError, match="too-large"):
+        count_min_dfa_oracle(7, 4)  # fallback limit is 2
+    # a unary automaton is a chain, counted in closed form at any size
+    assert count_min_dfa_oracle(1, 40) == 2**38
+    assert count_min_dfa_oracle(1, 40, minimal=False) == 2**39

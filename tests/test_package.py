@@ -8,13 +8,16 @@ import pathlib
 
 import dagenum
 
-# Runs main() on each argv in the JSON list sys.argv[1], stdout swallowed,
-# then prints which of the modules named in the JSON list sys.argv[2] got
-# loaded.  It must run in a fresh interpreter: the test process has numpy
-# loaded.
+# Forgets the modules named in the JSON list sys.argv[2], which site may
+# have loaded, before it imports dagenum; then runs main() on each argv in
+# the JSON list sys.argv[1], stdout swallowed, and prints which of them got
+# imported again.  It must run in a fresh interpreter: the test process has
+# numpy loaded.
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 watched = json.loads(sys.argv[2])
+for name in watched:
+    sys.modules.pop(name, None)
 from dagenum.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -71,28 +74,8 @@ _UNUSED_BY_COUNT = [
 
 
 def test_count_and_version_load_no_unused_module(run_python):
-    # what a bare interpreter (site and sitecustomize included) already has
-    proc = run_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
-    bare = set(json.loads(proc.stdout))
     for argv in (["--version"], ["count", "--kind", "dfa", "--k", "2", "--n-max", "20"]):
-        assert set(_loaded_after(run_python, [argv], _UNUSED_BY_COUNT)) <= bare, argv
-
-
-# Forgets the modules named in the JSON list sys.argv[2], which site may
-# have loaded, before it imports dagenum; then runs main() on each argv in
-# the JSON list sys.argv[1] and prints which of them got imported again.
-_IMPORTED_BY_COMMANDS = """
-import contextlib, io, json, sys
-watched = json.loads(sys.argv[2])
-for name in watched:
-    sys.modules.pop(name, None)
-from dagenum.cli import main
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        if main(argv) != 0:
-            raise SystemExit(f"{argv} failed")
-print(json.dumps([m for m in watched if m in sys.modules]))
-"""
+        assert _loaded_after(run_python, [argv], _UNUSED_BY_COUNT) == [], argv
 
 
 def test_cached_count_imports_no_codec_module(run_python, tmp_path):
@@ -100,9 +83,7 @@ def test_cached_count_imports_no_codec_module(run_python, tmp_path):
     cache = ["--cache-dir", str(tmp_path)]
     argvs = [["count", "--kind", "relaxed", "--k", "3", "--n-max", n, *cache] for n in ("8", "12", "12")]
     watched = ["struct", "zlib", "base64", "binascii", "array", "pickle"]
-    proc = run_python("-c", _IMPORTED_BY_COMMANDS, json.dumps(argvs), json.dumps(watched))
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert _loaded_after(run_python, argvs, watched) == []
     assert (tmp_path / "relaxed-k3.ctab").read_bytes().startswith(b"ctab 4\n")
 
 
