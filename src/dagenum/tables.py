@@ -225,14 +225,14 @@ def _check_match(found_kind: str, found_k: int, kind: str, k: int) -> None:
         )
 
 
-# ctab 1 holds the whole wedge (save_table/load_table); ctab 2, 3 and 4, the
-# CLI's cache, hold the diagonal and the last k columns.  All share the ASCII
-# header, the checksum (sha256 of the body bytes) and the atomic write.
-# ctab 4 writes each integer as its big-endian bytes behind a 4-byte
-# big-endian byte count, which CPython converts in C, in linear time and
-# outside the int-str digit limit, at half the size of hexadecimal text.
-# ctab 1 and ctab 2 are decimal text, ctab 3 hexadecimal text; the cache
-# reads all three and rewrites them as ctab 4.
+# ctab 1 holds the whole wedge (save_table/load_table) in decimal text;
+# ctab 4, the CLI's cache, holds the diagonal and the last k columns, each
+# integer as its big-endian bytes behind a 4-byte big-endian byte count,
+# which CPython converts in C, in linear time and outside the int-str digit
+# limit.  All share the ASCII header, the checksum (sha256 of the body
+# bytes) and the atomic write.  The cache's earlier layouts, decimal ctab 2
+# and hexadecimal ctab 3, are checked only that far: the cache rebuilds
+# them, and a ctab 1 file, as if the file were missing.
 _MAGIC = "ctab 1"
 _MAGIC_2 = "ctab 2"
 _MAGIC_3 = "ctab 3"
@@ -327,7 +327,10 @@ def save_table(table: CountTable, path) -> None:
     _write_ctab(path, _MAGIC, table.kind, k, table.n_max, body.encode("ascii"))
 
 
-def _wedge_from_lines(kind: str, k: int, n_max: int, raw: list[str]) -> CountTable:
+def load_table(path) -> CountTable:
+    magic, kind, k, n_max, raw = _read_ctab(path)
+    if magic != _MAGIC:
+        raise CacheError(f"cache-version: a {magic} file holds no wedge")
     if len(raw) != _wedge_size(k, n_max):
         raise CacheError("cache-corrupt: wrong entry count")
     columns: list[list[int]] = [[0] * (n // (k - 1) + 1) for n in range(n_max + 1)]
@@ -341,13 +344,6 @@ def _wedge_from_lines(kind: str, k: int, n_max: int, raw: list[str]) -> CountTab
         raise _entry_error(exc) from None
     _check_cells(kind, columns)
     return CountTable(kind, k, columns)
-
-
-def load_table(path) -> CountTable:
-    magic, kind, k, n_max, raw = _read_ctab(path)
-    if magic != _MAGIC:
-        raise CacheError(f"cache-version: a {magic} file holds no wedge")
-    return _wedge_from_lines(kind, k, n_max, raw)
 
 
 def _tail_columns(k: int, n_max: int) -> range:
@@ -382,31 +378,16 @@ def _unpack(body: memoryview, count: int) -> list[int]:
 
 
 def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
-    """Magic, kind, k, diagonal and tail of a cache file; a ctab 1 wedge is
-    cut down to its diagonal and last k columns."""
+    """Magic, kind, k, diagonal and tail of a cache file; a file in an
+    earlier layout (ctab 1 to 3) gives an empty diagonal and tail."""
     magic, kind, k, n_max, raw = _read_ctab(path)
-    if magic == _MAGIC:
-        columns = _wedge_from_lines(kind, k, n_max, raw).columns
-        n_max //= k - 1
-        diagonal = [columns[(k - 1) * n][n] for n in range(n_max + 1)]
-        return magic, kind, k, diagonal, [columns[n] for n in _tail_columns(k, n_max)]
+    if magic != _MAGIC_4:
+        return magic, kind, k, [], []
     sizes = [n // (k - 1) + 1 for n in _tail_columns(k, n_max)]
-    if magic == _MAGIC_4:
-        # the layout fixes each column's length, so the entry count checks it
-        values = iter(_unpack(raw, n_max + 1 + sum(sizes)))
-        diagonal = list(islice(values, n_max + 1))
-        tail = [list(islice(values, size)) for size in sizes]
-    else:
-        if len(raw) != n_max + 1 + len(sizes):
-            raise CacheError("cache-corrupt: wrong entry count")
-        base = 16 if magic == _MAGIC_3 else 10
-        try:
-            diagonal = [int(v, base) for v in raw[: n_max + 1]]
-            tail = [[int(v, base) for v in line.split(" ")] for line in raw[n_max + 1 :]]
-        except ValueError as exc:
-            raise _entry_error(exc) from None
-        if list(map(len, tail)) != sizes:
-            raise CacheError("cache-corrupt: wrong tail-column length")
+    # the layout fixes each column's length, so the entry count checks it
+    values = iter(_unpack(raw, n_max + 1 + sum(sizes)))
+    diagonal = list(islice(values, n_max + 1))
+    tail = [list(islice(values, size)) for size in sizes]
     # the diagonal starts at count(0) = 1, as every column starts at m = 0
     _check_cells(kind, [diagonal, *tail])
     if tail[-1][-1] != diagonal[-1]:
@@ -420,8 +401,8 @@ def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     The file (ctab 4) holds count(0..N) and the columns max(0, c-k+1)..c,
     c = (k-1)N, in binary.  When N >= n_max it is only read; otherwise the
     DP resumes from those columns, and the longer diagonal is saved.  A
-    missing file is built from column 0; a ctab 1, 2 or 3 file is read once
-    and rewritten as ctab 4.
+    missing file, or one in an earlier layout (ctab 1, 2 or 3), is built
+    from column 0 and saved as ctab 4.
     """
     path = Path(path)
     magic, diagonal, tail = None, [], []
@@ -430,7 +411,7 @@ def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     _check_args(kind, k, n_max)
     if magic is not None:
         _check_match(found_kind, found_k, kind, k)
-    if n_max >= len(diagonal) or magic != _MAGIC_4:
+    if n_max >= len(diagonal):
         _check_budget(kind, k, (k - 1) * n_max, wedge=False)
         tail = _extend_diagonal(kind, k, diagonal, tail, n_max)
         _write_ctab(path, _MAGIC_4, kind, k, len(diagonal) - 1, _pack(chain(diagonal, *tail)))

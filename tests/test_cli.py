@@ -6,7 +6,7 @@ import time
 import pytest
 
 from dagenum.cli import CACHE_ENV, main
-from dagenum.tables import build_table, save_table
+from dagenum.tables import build_table, cached_diagonal, save_table
 
 
 def run(capsys, argv):
@@ -133,29 +133,6 @@ def test_count_damaged_cache_exits_3(capsys, tmp_path, resign, damage):
     assert err == f"cache error: cache-corrupt: {message}\n"
 
 
-def _legacy_cache(path, fixtures_dir, resign, edit):
-    """The ctab 3 fixture at path, its body lines edited and re-signed."""
-    path.write_bytes((fixtures_dir / "dfa_k3_ctab3.ctab").read_bytes())
-    resign(path, lambda body: "".join(f"{line}\n" for line in edit(body.decode().splitlines())).encode())
-
-
-def test_count_wrong_tail_column_length_exits_3(capsys, tmp_path, fixtures_dir, resign):
-    _legacy_cache(tmp_path / "dfa-k3.ctab", fixtures_dir, resign,
-                  lambda lines: lines[:-2] + [lines[-2] + " 5", lines[-1]])
-    code, _, err = run(capsys, _count("dfa", 3, 3, "--cache-dir", str(tmp_path)))
-    assert code == 3
-    assert err == "cache error: cache-corrupt: wrong tail-column length\n"
-
-
-def test_count_non_hex_entry_exits_3(capsys, tmp_path, fixtures_dir, resign):
-    # "g" is no hex digit; the file is re-signed, so the checksum holds
-    _legacy_cache(tmp_path / "dfa-k3.ctab", fixtures_dir, resign,
-                  lambda lines: lines[:-1] + [lines[-1] + "g"])
-    code, out, err = run(capsys, _count("dfa", 3, 3, "--cache-dir", str(tmp_path)))
-    assert code == 3 and out == ""
-    assert err == "cache error: cache-corrupt: non-integer entry\n"
-
-
 @pytest.mark.parametrize("request_kind,request_k", [("compacted", 2), ("relaxed", 3)])
 def test_count_mismatched_cache_exits_3(capsys, tmp_path, request_kind, request_k):
     assert run(capsys, _count("relaxed", 2, 4, "--cache-dir", str(tmp_path)))[0] == 0
@@ -168,39 +145,25 @@ def test_count_mismatched_cache_exits_3(capsys, tmp_path, request_kind, request_
     )
 
 
-def test_count_migrates_ctab_1_cache(capsys, tmp_path, cache_writes):
-    path = tmp_path / "dfa-k2.ctab"
-    save_table(build_table("dfa", 2, 8), path)
-    expected = run(capsys, _count("dfa", 2, 5, "--format", "json"))
-    assert run(capsys, _count("dfa", 2, 5, "--format", "json", "--cache-dir", str(tmp_path))) == expected
-    assert path.read_bytes().startswith(b"ctab 4\n")
-    # the migrated file serves the rest of the old wedge's diagonal, unwritten
-    assert run(capsys, _count("dfa", 2, 8, "--cache-dir", str(tmp_path))) == run(
-        capsys, _count("dfa", 2, 8)
-    )
-    assert len(cache_writes) == 2  # save_table, then the migration
-
-
-def _check_text_cache_migrates(capsys, tmp_path, cache_writes, fixture):
+@pytest.mark.parametrize("layout", ["ctab1", "ctab2", "ctab3"])
+def test_count_rebuilds_an_older_cache_layout(capsys, tmp_path, fixtures_dir, cache_writes, layout):
+    # each input holds the dfa k = 3 counts 0..3; the cache reads only
+    # ctab 4, so an older file is rebuilt from column 0 like a missing one
     path = tmp_path / "dfa-k3.ctab"
-    path.write_bytes(fixture.read_bytes())
-    expected = run(capsys, _count("dfa", 3, 3, "--format", "json"))
-    assert run(capsys, _count("dfa", 3, 3, "--format", "json", "--cache-dir", str(tmp_path))) == expected
-    assert path.read_bytes().startswith(b"ctab 4\n")
-    # the migrated file is read like one written as ctab 4, and left as it is
-    stamp = path.read_bytes()
+    if layout == "ctab1":
+        save_table(build_table("dfa", 3, 6), path)
+        cache_writes.clear()
+    else:
+        path.write_bytes((fixtures_dir / f"dfa_k3_{layout}.ctab").read_bytes())
+    expected = run(capsys, _count("dfa", 3, 2, "--format", "json"))
+    assert expected[0] == 0
+    assert run(capsys, _count("dfa", 3, 2, "--format", "json", "--cache-dir", str(tmp_path))) == expected
+    fresh = tmp_path / "fresh.ctab"
+    cached_diagonal("dfa", 3, 2, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    # written once, then only read
     assert run(capsys, _count("dfa", 3, 2, "--cache-dir", str(tmp_path))) == run(capsys, _count("dfa", 3, 2))
-    assert path.read_bytes() == stamp and cache_writes == [path]
-    # and extended like one
-    assert run(capsys, _count("dfa", 3, 6, "--cache-dir", str(tmp_path))) == run(capsys, _count("dfa", 3, 6))
-
-
-def test_count_migrates_ctab_2_cache(capsys, tmp_path, fixtures_dir, cache_writes):
-    _check_text_cache_migrates(capsys, tmp_path, cache_writes, fixtures_dir / "dfa_k3_ctab2.ctab")
-
-
-def test_count_migrates_ctab_3_cache(capsys, tmp_path, fixtures_dir, cache_writes):
-    _check_text_cache_migrates(capsys, tmp_path, cache_writes, fixtures_dir / "dfa_k3_ctab3.ctab")
+    assert cache_writes == [path, fresh]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import math
 import sys
@@ -189,6 +188,13 @@ def test_streaming_route_has_a_byte_budget(tmp_path):
     with pytest.raises(ValueError, match="byte-budget"):
         cached_diagonal("dfa", 5, 10**6, tmp_path / "dfa-k5.ctab")
     assert not list(tmp_path.iterdir())
+    # a refused rebuild leaves a file in an earlier layout as it was
+    old = tmp_path / "dfa-k3.ctab"
+    old.write_bytes(_LEGACY["ctab 2"][0])
+    with pytest.raises(ValueError, match="byte-budget"):
+        cached_diagonal("dfa", 3, 10**6, old)
+    assert old.read_bytes() == _LEGACY["ctab 2"][0]
+    assert list(tmp_path.iterdir()) == [old]
 
 
 # ctab 4 bytes of count(0..3) for dfa, k = 3: the diagonal, then the
@@ -204,8 +210,8 @@ _DFA3_GOLDEN_4 = (
     "00000001 01  00000001 1f  00000002 010a  00000002 0214"  # column 6: 1, 31, 266, 532
 )
 # The same counts in the cache's earlier text layouts, decimal ctab 2 and
-# hexadecimal ctab 3: the inputs of the migration tests here, in test_cli.py
-# and in tools/cli_compare.py.
+# hexadecimal ctab 3, which the cache rebuilds as ctab 4: inputs of tests
+# here, in test_cli.py and in tools/cli_compare.py.
 _FIXTURES = Path(__file__).parent / "fixtures"
 _LEGACY = {
     "ctab 2": ((_FIXTURES / "dfa_k3_ctab2.ctab").read_bytes(), 10),
@@ -238,46 +244,18 @@ def test_cached_diagonal_resumes_from_its_tail(tmp_path, kind, k):
 
 
 def test_interrupted_cache_save_keeps_old_file(tmp_path, torn_writes):
-    path = tmp_path / "relaxed-k2.ctab"
+    # a ctab 4 file that is extended, and a ctab 2 file that is rebuilt
+    path, old = tmp_path / "relaxed-k2.ctab", tmp_path / "dfa-k3.ctab"
     cached_diagonal("relaxed", 2, 6, path)
-    stamp = path.read_bytes()
+    old.write_bytes(_LEGACY["ctab 2"][0])
+    stamps = {p: p.read_bytes() for p in (path, old)}
     with torn_writes():
         with pytest.raises(KeyboardInterrupt):
             cached_diagonal("relaxed", 2, 12, path)
-    assert path.read_bytes() == stamp
-    assert list(tmp_path.iterdir()) == [path]
-
-
-def test_ctab_1_is_migrated_to_ctab_4(tmp_path, cache_writes):
-    path = tmp_path / "compacted-k3.ctab"
-    save_table(build_table("compacted", 3, 11), path)
-    assert cached_diagonal("compacted", 3, 4, path) == diagonal_sequence("compacted", 3, 4)
-    magic, kind, k, diagonal, tail = tables._load_diagonal(path)
-    assert (magic, kind, k) == ("ctab 4", "compacted", 3)
-    # column 11 has no diagonal entry; the file keeps count(0..5) and
-    # columns 8..10
-    assert diagonal == diagonal_sequence("compacted", 3, 5)
-    assert tail == build_table("compacted", 3, 10).columns[8:]
-    # written once by save_table, once by the migration, then only read
-    assert cached_diagonal("compacted", 3, 5, path) == diagonal
-    assert cache_writes == [path, path]
-
-
-@pytest.mark.parametrize("layout", sorted(_LEGACY), ids=lambda layout: layout.replace(" ", ""))
-@pytest.mark.parametrize("n_max", [2, 3, 5])
-def test_text_cache_is_migrated_to_ctab_4(tmp_path, cache_writes, n_max, layout):
-    path = tmp_path / "dfa-k3.ctab"
-    path.write_bytes(_LEGACY[layout][0])
-    assert cached_diagonal("dfa", 3, n_max, path) == diagonal_sequence("dfa", 3, n_max)
-    # a read within the file's n_max keeps its counts; a longer one extends them
-    fresh = tmp_path / "fresh.ctab"
-    cached_diagonal("dfa", 3, max(n_max, 3), fresh)
-    assert path.read_bytes() == fresh.read_bytes()
-    if n_max <= 3:
-        assert path.read_bytes() == _DFA3_GOLDEN_4
-    # rewritten once; the migrated file is then only read
-    assert cached_diagonal("dfa", 3, n_max, path) == diagonal_sequence("dfa", 3, n_max)
-    assert cache_writes == [path, fresh]
+        with pytest.raises(KeyboardInterrupt):
+            cached_diagonal("dfa", 3, 2, old)
+    assert {p: p.read_bytes() for p in stamps} == stamps
+    assert sorted(tmp_path.iterdir()) == sorted(stamps)
 
 
 def test_load_table_refuses_ctab_2(tmp_path):
@@ -359,23 +337,21 @@ def test_cache_round_trips_counts_over_the_int_str_limit(tmp_path, default_int_l
 
 
 def test_legacy_cell_over_the_int_str_limit_names_the_limit(tmp_path, default_int_limit):
+    # load_table reads the one decimal layout left, ctab 1; its top cell
+    # here has 4,401 digits, written with the limit lifted
     path = tmp_path / "relaxed-k3.ctab"
-    diagonal = cached_diagonal("relaxed", 3, BIG_N, path)
-    # the same counts as ctab 2, in decimal, converted with the limit lifted
-    _, _, _, _, tail = tables._load_diagonal(path)
+    table = build_table("relaxed", 3, 6)
+    table.columns[6][3] = 10**4400
     sys.set_int_max_str_digits(0)
-    body = "".join(f"{v}\n" for v in diagonal) + "".join(" ".join(map(str, col)) + "\n" for col in tail)
+    save_table(table, path)
     sys.set_int_max_str_digits(4300)
-    head = f"ctab 2\nkind relaxed\nk 3\nn_max {BIG_N}\n"
-    legacy = head + "checksum " + hashlib.sha256(body.encode("ascii")).hexdigest() + "\n" + body
-    path.write_text(legacy)
+    stamp = path.read_bytes()
     with pytest.raises(CacheError, match=r"^cache-limit: .*4300 digits.*set_int_max_str_digits"):
-        cached_diagonal("relaxed", 3, BIG_N, path)
-    assert path.read_text() == legacy
-    # with the limit raised, as the CLI raises it, the file migrates
+        load_table(path)
+    assert path.read_bytes() == stamp
+    # with the limit raised, as the CLI raises it, the wedge loads
     sys.set_int_max_str_digits(0)
-    assert cached_diagonal("relaxed", 3, BIG_N, path) == diagonal
-    assert path.read_bytes().startswith(b"ctab 4\n")
+    assert load_table(path).columns == table.columns
 
 
 def test_load_rejects_corruption(tmp_path):
