@@ -145,8 +145,7 @@ def test_count_mismatched_cache_exits_3(capsys, tmp_path, request_kind, request_
     )
 
 
-@pytest.mark.parametrize("layout", ["ctab1", "ctab2", "ctab3"])
-def test_count_rebuilds_an_older_cache_layout(capsys, tmp_path, fixtures_dir, cache_writes, layout):
+def _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, layout):
     # each input holds the dfa k = 3 counts 0..3; the cache reads only
     # ctab 4, so an older file is rebuilt from column 0 like a missing one
     path = tmp_path / "dfa-k3.ctab"
@@ -164,6 +163,18 @@ def test_count_rebuilds_an_older_cache_layout(capsys, tmp_path, fixtures_dir, ca
     # written once, then only read
     assert run(capsys, _count("dfa", 3, 2, "--cache-dir", str(tmp_path))) == run(capsys, _count("dfa", 3, 2))
     assert cache_writes == [path, fresh]
+
+
+def test_count_migrates_ctab_1_cache(capsys, tmp_path, fixtures_dir, cache_writes):
+    _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, "ctab1")
+
+
+def test_count_migrates_ctab_2_cache(capsys, tmp_path, fixtures_dir, cache_writes):
+    _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, "ctab2")
+
+
+def test_count_migrates_ctab_3_cache(capsys, tmp_path, fixtures_dir, cache_writes):
+    _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, "ctab3")
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,41 @@ def test_interrupted_cache_save_keeps_old_file(tmp_path, torn_writes):
     assert sorted(tmp_path.iterdir()) == sorted(stamps)
 
 
+
+def test_ctab_1_is_migrated_to_ctab_4(tmp_path, cache_writes):
+    # the cache does not read a ctab 1 wedge: it rebuilds the diagonal from
+    # column 0 and replaces the file with the ctab 4 of the requested n_max
+    path = tmp_path / "compacted-k3.ctab"
+    save_table(build_table("compacted", 3, 11), path)
+    assert cached_diagonal("compacted", 3, 4, path) == diagonal_sequence("compacted", 3, 4)
+    magic, kind, k, diagonal, _ = tables._load_diagonal(path)
+    assert (magic, kind, k) == ("ctab 4", "compacted", 3)
+    assert diagonal == diagonal_sequence("compacted", 3, 4)
+    fresh = tmp_path / "fresh.ctab"
+    cached_diagonal("compacted", 3, 4, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    # written once by save_table, once by the rebuild, then only read
+    assert cached_diagonal("compacted", 3, 4, path) == diagonal
+    assert cache_writes == [path, path, fresh]
+
+
+@pytest.mark.parametrize("layout", sorted(_LEGACY), ids=lambda layout: layout.replace(" ", ""))
+@pytest.mark.parametrize("n_max", [2, 3, 5])
+def test_text_cache_is_migrated_to_ctab_4(tmp_path, cache_writes, n_max, layout):
+    # a text layout is rebuilt, not parsed: whatever n_max the file held,
+    # it becomes the ctab 4 file a fresh cache of this n_max writes
+    path = tmp_path / "dfa-k3.ctab"
+    path.write_bytes(_LEGACY[layout][0])
+    assert cached_diagonal("dfa", 3, n_max, path) == diagonal_sequence("dfa", 3, n_max)
+    fresh = tmp_path / "fresh.ctab"
+    cached_diagonal("dfa", 3, n_max, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    if n_max == 3:
+        assert path.read_bytes() == _DFA3_GOLDEN_4
+    # rewritten once; the rebuilt file is then only read
+    assert cached_diagonal("dfa", 3, n_max, path) == diagonal_sequence("dfa", 3, n_max)
+    assert cache_writes == [path, fresh]
+
 def test_load_table_refuses_ctab_2(tmp_path):
     path = tmp_path / "dfa-k3.ctab"
     for layout, (golden, _) in _LEGACY.items():
