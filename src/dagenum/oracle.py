@@ -9,6 +9,7 @@ bits and provides the third sequence.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator
 
 from . import bijection, paths
@@ -108,8 +109,11 @@ def count_min_dfa_oracle(k: int, states: int, minimal: bool = True) -> int:
     tree enumeration's.  It is minimal iff the bottom-up signatures
     (bit, classes of the children) are pairwise distinct, the dead state's
     (0, dead, ..., dead) included (Revuz 1992).  While they are distinct each
-    node is its own class, so a signature is (bit, child labels); the bits
-    are chosen in label order, and a repeated signature ends the branch.
+    node is its own class, so a signature is (bit, child labels), and only
+    nodes with equal child tuples can collide: each such group needs distinct
+    bits, of which there are two, and bit 0 is taken by the dead state when
+    every child is dead.  So the count is a product over the groups, with no
+    search (`_minimal_bits`).
     """
     if k < 1:
         raise ValueError(f"arity-k: {k}")
@@ -120,22 +124,16 @@ def count_min_dfa_oracle(k: int, states: int, minimal: bool = True) -> int:
         return 1 << (n - 1) if minimal and n else 1 << n
     if not minimal:
         return count_relaxed_oracle(k, n) << n
-    dead = (0, (1,) * k)
-    return sum(
-        _distinct_signatures([tuple(c.target for c in node.children) for node in t.nodes], {dead})
-        for t in enumerate_relaxed(k, n)
-    )
+    return sum(_minimal_bits(t) for t in enumerate_relaxed(k, n))
 
 
-def _distinct_signatures(rows: list[tuple[int, ...]], seen: set, i: int = 0) -> int:
-    """The accepting-bit choices for the nodes rows[i:] (their child labels,
-    in label order) whose signatures stay out of `seen` and pairwise distinct."""
-    if i == len(rows):
-        return 1
-    total = 0
-    for sig in ((0, rows[i]), (1, rows[i])):
-        if sig not in seen:
-            seen.add(sig)
-            total += _distinct_signatures(rows, seen, i + 1)
-            seen.remove(sig)
-    return total
+def _minimal_bits(tree: RelaxedTree) -> int:
+    """The number of accepting-bit choices that make tree's automaton
+    minimal: a factor 2 per group of nodes sharing a child tuple, 1 for the
+    group whose children are all dead, and 0 if a group has more nodes than
+    free bits."""
+    groups = Counter(tuple(c.target for c in node.children) for node in tree.nodes)
+    dead = (1,) * tree.k
+    if any(size > 2 - (children == dead) for children, size in groups.items()):
+        return 0
+    return 1 << (len(groups) - (dead in groups))

@@ -225,18 +225,17 @@ def _check_match(found_kind: str, found_k: int, kind: str, k: int) -> None:
         )
 
 
-# ctab 1 holds the whole wedge (save_table/load_table) in decimal text;
-# ctab 4, the CLI's cache, holds the diagonal and the last k columns, each
-# integer as its big-endian bytes behind a 4-byte big-endian byte count,
-# which CPython converts in C, in linear time and outside the int-str digit
-# limit.  All share the ASCII header, the checksum (sha256 of the body
-# bytes) and the atomic write.  The cache's earlier layouts, decimal ctab 2
-# and hexadecimal ctab 3, are checked only that far: the cache rebuilds
-# them, and a ctab 1 file, as if the file were missing.
-_MAGIC = "ctab 1"
-_MAGIC_2 = "ctab 2"
-_MAGIC_3 = "ctab 3"
+# ctab 5 holds the whole wedge (save_table/load_table) column by column;
+# ctab 4, the CLI's cache, holds the diagonal and the last k columns.  Both
+# store each integer as its big-endian bytes behind a 4-byte big-endian byte
+# count, which CPython converts in C, in linear time and outside the int-str
+# digit limit, and share the ASCII header, the checksum (sha256 of the body
+# bytes) and the atomic write.  The earlier layouts, the decimal wedge ctab 1,
+# decimal ctab 2 and hexadecimal ctab 3, are checked only that far: the cache
+# rebuilds them, and a ctab 5 file, as if the file were missing.
 _MAGIC_4 = "ctab 4"
+_MAGIC_5 = "ctab 5"
+_LAYOUTS = ("ctab 1", "ctab 2", "ctab 3", _MAGIC_4, _MAGIC_5)
 
 
 def _checksum(body) -> str:
@@ -260,10 +259,9 @@ def _write_ctab(path, magic: str, kind: str, k: int, n_max: int, body: bytes) ->
         raise
 
 
-def _read_ctab(path) -> tuple[str, str, int, int, list[str] | memoryview]:
-    """Magic, kind, k, n_max and body of a .ctab file of any layout, once
-    its header parses and its checksum matches.  The body is its lines for
-    the text layouts (ctab 1 to 3) and its bytes for ctab 4."""
+def _read_ctab(path) -> tuple[str, str, int, int, memoryview]:
+    """Magic, kind, k, n_max and body bytes of a .ctab file of any layout,
+    once its header parses and its checksum matches."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -276,13 +274,11 @@ def _read_ctab(path) -> tuple[str, str, int, int, list[str] | memoryview]:
         raise CacheError("cache-corrupt: truncated header")
     try:
         header = data[:end].decode("ascii")
-        head_lines, checksum = header[:at].splitlines(), header[at + 9 :]
-        if len(head_lines) != 4 or head_lines[0] not in (_MAGIC, _MAGIC_2, _MAGIC_3, _MAGIC_4):
-            raise CacheError("cache-corrupt: bad header")
-        # a text layout is ASCII throughout, a ctab 4 body is binary
-        text = None if head_lines[0] == _MAGIC_4 else data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise CacheError(f"cache-corrupt: unreadable file ({exc})") from None
+    head_lines, checksum = header[:at].splitlines(), header[at + 9 :]
+    if len(head_lines) != 4 or head_lines[0] not in _LAYOUTS:
+        raise CacheError("cache-corrupt: bad header")
     try:
         kind = head_lines[1].removeprefix("kind ").strip()
         k = int(head_lines[2].removeprefix("k ").strip())
@@ -294,14 +290,7 @@ def _read_ctab(path) -> tuple[str, str, int, int, list[str] | memoryview]:
     body = memoryview(data)[end + 1 :]
     if _checksum(body) != checksum:
         raise CacheError("cache-corrupt: checksum mismatch")
-    return head_lines[0], kind, k, n_max, body if text is None else text[end + 1 :].splitlines()
-
-
-def _entry_error(exc: ValueError) -> CacheError:
-    """A decimal cell over the caller's int-str limit is not corruption."""
-    if "set_int_max_str_digits" in str(exc):
-        return CacheError(f"cache-limit: {exc}")
-    return CacheError("cache-corrupt: non-integer entry")
+    return head_lines[0], kind, k, n_max, body
 
 
 def _check_cells(kind: str, columns: list[list[int]]) -> None:
@@ -316,32 +305,18 @@ def _check_cells(kind: str, columns: list[list[int]]) -> None:
 
 
 def save_table(table: CountTable, path) -> None:
-    """ctab 1: 5-line header, then one decimal integer per line in
-    wedge-row order: for m ascending, n from (k-1)m to n_max."""
-    columns, k = table.columns, table.k
-    body = "".join(
-        f"{columns[n][m]}\n"
-        for m in range(table.n_max // (k - 1) + 1)
-        for n in range((k - 1) * m, table.n_max + 1)
-    )
-    _write_ctab(path, _MAGIC, table.kind, k, table.n_max, body.encode("ascii"))
+    """ctab 5: 5-line header, then the wedge's columns 0..n_max in turn,
+    each integer in the ctab 4 encoding."""
+    body = _pack(chain(*table.columns))
+    _write_ctab(path, _MAGIC_5, table.kind, table.k, table.n_max, body)
 
 
 def load_table(path) -> CountTable:
     magic, kind, k, n_max, raw = _read_ctab(path)
-    if magic != _MAGIC:
+    if magic != _MAGIC_5:
         raise CacheError(f"cache-version: a {magic} file holds no wedge")
-    if len(raw) != _wedge_size(k, n_max):
-        raise CacheError("cache-corrupt: wrong entry count")
-    columns: list[list[int]] = [[0] * (n // (k - 1) + 1) for n in range(n_max + 1)]
-    idx = 0
-    try:
-        for m in range(n_max // (k - 1) + 1):
-            for n in range((k - 1) * m, n_max + 1):
-                columns[n][m] = int(raw[idx])
-                idx += 1
-    except ValueError as exc:
-        raise _entry_error(exc) from None
+    values = iter(_unpack(raw, _wedge_size(k, n_max)))
+    columns = [list(islice(values, n // (k - 1) + 1)) for n in range(n_max + 1)]
     _check_cells(kind, columns)
     return CountTable(kind, k, columns)
 
@@ -378,8 +353,8 @@ def _unpack(body: memoryview, count: int) -> list[int]:
 
 
 def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
-    """Magic, kind, k, diagonal and tail of a cache file; a file in an
-    earlier layout (ctab 1 to 3) gives an empty diagonal and tail."""
+    """Magic, kind, k, diagonal and tail of a cache file; a file in another
+    layout (ctab 1 to 3, or a ctab 5 wedge) gives an empty diagonal and tail."""
     magic, kind, k, n_max, raw = _read_ctab(path)
     if magic != _MAGIC_4:
         return magic, kind, k, [], []
@@ -401,7 +376,7 @@ def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     The file (ctab 4) holds count(0..N) and the columns max(0, c-k+1)..c,
     c = (k-1)N, in binary.  When N >= n_max it is only read; otherwise the
     DP resumes from those columns, and the longer diagonal is saved.  A
-    missing file, or one in an earlier layout (ctab 1, 2 or 3), is built
+    missing file, or one in another layout (ctab 1, 2, 3 or 5), is built
     from column 0 and saved as ctab 4.
     """
     path = Path(path)

@@ -146,27 +146,32 @@ def test_count_mismatched_cache_exits_3(capsys, tmp_path, request_kind, request_
 
 
 def _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, layout):
-    # each input holds the dfa k = 3 counts 0..3; the cache reads only
-    # ctab 4, so an older file is rebuilt from column 0 like a missing one
-    path = tmp_path / "dfa-k3.ctab"
-    if layout == "ctab1":
+    # each input holds the dfa k = 3 counts 0..3 or more; the cache reads
+    # only ctab 4, so a file in another layout is rebuilt from column 0 like
+    # a missing one
+    cache = tmp_path / layout
+    cache.mkdir()
+    path = cache / "dfa-k3.ctab"
+    if layout == "ctab5":
         save_table(build_table("dfa", 3, 6), path)
-        cache_writes.clear()
     else:
         path.write_bytes((fixtures_dir / f"dfa_k3_{layout}.ctab").read_bytes())
+    cache_writes.clear()
     expected = run(capsys, _count("dfa", 3, 2, "--format", "json"))
     assert expected[0] == 0
-    assert run(capsys, _count("dfa", 3, 2, "--format", "json", "--cache-dir", str(tmp_path))) == expected
-    fresh = tmp_path / "fresh.ctab"
+    assert run(capsys, _count("dfa", 3, 2, "--format", "json", "--cache-dir", str(cache))) == expected
+    fresh = tmp_path / f"fresh-{layout}.ctab"
     cached_diagonal("dfa", 3, 2, fresh)
     assert path.read_bytes() == fresh.read_bytes()
     # written once, then only read
-    assert run(capsys, _count("dfa", 3, 2, "--cache-dir", str(tmp_path))) == run(capsys, _count("dfa", 3, 2))
+    assert run(capsys, _count("dfa", 3, 2, "--cache-dir", str(cache))) == run(capsys, _count("dfa", 3, 2))
     assert cache_writes == [path, fresh]
 
 
 def test_count_migrates_ctab_1_cache(capsys, tmp_path, fixtures_dir, cache_writes):
-    _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, "ctab1")
+    # the two whole-wedge layouts, decimal ctab 1 and binary ctab 5
+    for layout in ("ctab1", "ctab5"):
+        _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, layout)
 
 
 def test_count_migrates_ctab_2_cache(capsys, tmp_path, fixtures_dir, cache_writes):

@@ -6,7 +6,9 @@ that.  Each draw must survive both maps, validate, and be classified by
 `is_compacted`, whose cross-assert between the interned-id and the cherry
 criterion is the two-route check.  The share of compacted draws must match
 the exact c_n / r_n, which decays only like n^(-1/4) at k = 2 (Elvey Price,
-Fang and Wallner, JCTA 2021), so it stays measurable at n = 300.  The share
+Fang and Wallner, JCTA 2021), so it stays measurable at n = 300.  On the
+same draws, the mean share of accepting-bit choices that make a draw's
+automaton minimal must match the dfa recurrence's m_n / (2^n r_n).  The share
 does not see a sampler that favours U steps; the length of a draw's final U
 run does, and its exact law comes from the same wedge columns.  Sizes, draw
 counts and seeds are fixed here.
@@ -14,23 +16,25 @@ counts and seeds are fixed here.
 
 import math
 import random
+import statistics
 from collections import Counter
 
 import pytest
 
 from dagenum.bijection import path_to_tree, tree_to_path
+from dagenum.oracle import _minimal_bits
 from dagenum.paths import generate_paths
 from dagenum.tables import diagonal_sequence
 from dagenum.trees import is_compacted, validate_tree
 from sampler import PathSampler
 
 SHARE_DRAWS = 800
-# (k, n, seed, exact c_n / r_n to four places)
+# (k, n, seed, exact c_n / r_n and m_n / (2^n r_n) to four places)
 SHARE_CASES = [
-    (2, 50, 1401, 0.4114),
-    (2, 100, 1402, 0.3396),
-    (2, 300, 1403, 0.2536),
-    (3, 100, 1404, 0.8420),
+    (2, 50, 1401, 0.4114, 0.2891),
+    (2, 100, 1402, 0.3396, 0.2623),
+    (2, 300, 1403, 0.2536, 0.2265),
+    (3, 100, 1404, 0.8420, 0.4398),
 ]
 
 # (k, n, seed) for the final U run's mean
@@ -42,13 +46,16 @@ CHI2_LIMIT = 180.80  # the 0.999 quantile of chi-square with 126 degrees of free
 
 
 @pytest.mark.parametrize(
-    "k, n, seed, share", SHARE_CASES, ids=[f"k{k}-n{n}" for k, n, _, _ in SHARE_CASES]
+    "k, n, seed, share, dfa_share", SHARE_CASES, ids=[f"k{k}-n{n}" for k, n, *_ in SHARE_CASES]
 )
-def test_sampled_trees_round_trip_and_match_the_compacted_share(k, n, seed, share):
-    exact = diagonal_sequence("compacted", k, n)[n] / diagonal_sequence("relaxed", k, n)[n]
+def test_sampled_trees_round_trip_and_match_the_compacted_share(k, n, seed, share, dfa_share):
+    r_n = diagonal_sequence("relaxed", k, n)[n]
+    exact = diagonal_sequence("compacted", k, n)[n] / r_n
     assert round(exact, 4) == share
+    dfa_exact = diagonal_sequence("dfa", k, n)[n] / (r_n << n)
+    assert round(dfa_exact, 4) == dfa_share
     sampler, rng = PathSampler(k, n), random.Random(seed)
-    compacted = 0
+    compacted, minimal = 0, []
     for _ in range(SHARE_DRAWS):
         p = sampler.draw(rng)
         t = path_to_tree(p)
@@ -56,8 +63,12 @@ def test_sampled_trees_round_trip_and_match_the_compacted_share(k, n, seed, shar
         assert tree_to_path(t) == p
         assert validate_tree(t).ok
         compacted += is_compacted(t)
+        minimal.append(_minimal_bits(t) / 2**n)
     sigma = math.sqrt(exact * (1 - exact) / SHARE_DRAWS)
     assert abs(compacted / SHARE_DRAWS - exact) <= 4 * sigma
+    # each draw's share of minimal bit choices has mean m_n / (2^n r_n)
+    z = (statistics.fmean(minimal) - dfa_exact) / (statistics.stdev(minimal) / math.sqrt(SHARE_DRAWS))
+    assert abs(z) <= 4, f"z = {z:.2f}"
 
 
 @pytest.mark.parametrize("k, n, seed", RUN_CASES, ids=[f"k{k}-n{n}" for k, n, _ in RUN_CASES])

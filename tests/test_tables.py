@@ -86,22 +86,32 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.columns == table.columns
 
 
-# ctab 1 bytes of build_table("dfa", 3, 6): wedge rows m = 0..3 in turn,
-# each for n from 2m to 6.
+# ctab 5 bytes of build_table("dfa", 3, 6): columns 0..6 in turn, each
+# integer as a 4-byte big-endian byte count and then its big-endian bytes.
 _DFA3_GOLDEN = (
-    "ctab 1\nkind dfa\nk 3\nn_max 6\n"
-    "checksum a129b227c8d4fc0e915962f8c16672e2e2e2edda7e5cc934380faddb19828d21\n"
-    "1\n1\n1\n1\n1\n1\n1\n"
-    "1\n3\n7\n15\n31\n"
-    "14\n70\n266\n"
-    "532\n"
+    b"ctab 5\nkind dfa\nk 3\nn_max 6\n"
+    b"checksum e795f266db99b42c1aa2b51615ff63b02615f181035bd754be045c5473cdab0a\n"
+) + bytes.fromhex(
+    "00000001 01  00000001 01"  # columns 0 and 1: 1; 1
+    "00000001 01  00000001 01  00000001 01  00000001 03"  # columns 2 and 3: 1, 1; 1, 3
+    "00000001 01  00000001 07  00000001 0e"  # column 4: 1, 7, 14
+    "00000001 01  00000001 0f  00000001 46"  # column 5: 1, 15, 70
+    "00000001 01  00000001 1f  00000002 010a  00000002 0214"  # column 6: 1, 31, 266, 532
 )
 
 
 def test_save_table_golden_bytes(tmp_path):
     path = tmp_path / "dfa-k3.ctab"
-    save_table(build_table("dfa", 3, 6), path)
-    assert path.read_bytes() == _DFA3_GOLDEN.encode("ascii")
+    table = build_table("dfa", 3, 6)
+    save_table(table, path)
+    assert path.read_bytes() == _DFA3_GOLDEN
+    # the body, read length by length, is the wedge column by column
+    body, values = _DFA3_GOLDEN.split(b"\n", 5)[5], []
+    while body:
+        size = int.from_bytes(body[:4], "big")
+        values.append(int.from_bytes(body[4 : 4 + size], "big"))
+        body = body[4 + size :]
+    assert values == [v for col in table.columns for v in col]
 
 
 @pytest.fixture
@@ -217,6 +227,9 @@ _LEGACY = {
     "ctab 2": ((_FIXTURES / "dfa_k3_ctab2.ctab").read_bytes(), 10),
     "ctab 3": ((_FIXTURES / "dfa_k3_ctab3.ctab").read_bytes(), 16),
 }
+# the decimal whole-wedge layout ctab 1 of build_table("dfa", 3, 6), which
+# the cache rebuilds and load_table refuses
+_CTAB1 = (_FIXTURES / "dfa_k3_ctab1.ctab").read_bytes()
 
 
 def test_cached_diagonal_golden_bytes(tmp_path):
@@ -260,20 +273,27 @@ def test_interrupted_cache_save_keeps_old_file(tmp_path, torn_writes):
 
 
 def test_ctab_1_is_migrated_to_ctab_4(tmp_path, cache_writes):
-    # the cache does not read a ctab 1 wedge: it rebuilds the diagonal from
-    # column 0 and replaces the file with the ctab 4 of the requested n_max
-    path = tmp_path / "compacted-k3.ctab"
-    save_table(build_table("compacted", 3, 11), path)
-    assert cached_diagonal("compacted", 3, 4, path) == diagonal_sequence("compacted", 3, 4)
-    magic, kind, k, diagonal, _ = tables._load_diagonal(path)
-    assert (magic, kind, k) == ("ctab 4", "compacted", 3)
-    assert diagonal == diagonal_sequence("compacted", 3, 4)
+    # the cache does not read a wedge, decimal ctab 1 or binary ctab 5: it
+    # rebuilds the diagonal from column 0 and replaces the file with the
+    # ctab 4 of the requested n_max
     fresh = tmp_path / "fresh.ctab"
-    cached_diagonal("compacted", 3, 4, fresh)
-    assert path.read_bytes() == fresh.read_bytes()
-    # written once by save_table, once by the rebuild, then only read
-    assert cached_diagonal("compacted", 3, 4, path) == diagonal
-    assert cache_writes == [path, path, fresh]
+    cached_diagonal("dfa", 3, 4, fresh)
+    for name in ("ctab1", "ctab5"):
+        path = tmp_path / name / "dfa-k3.ctab"
+        path.parent.mkdir()
+        if name == "ctab1":
+            path.write_bytes(_CTAB1)
+        else:
+            save_table(build_table("dfa", 3, 11), path)
+        cache_writes.clear()
+        assert cached_diagonal("dfa", 3, 4, path) == diagonal_sequence("dfa", 3, 4)
+        magic, kind, k, diagonal, _ = tables._load_diagonal(path)
+        assert (magic, kind, k) == ("ctab 4", "dfa", 3)
+        assert diagonal == diagonal_sequence("dfa", 3, 4)
+        assert path.read_bytes() == fresh.read_bytes()
+        # rewritten once by the rebuild, then only read
+        assert cached_diagonal("dfa", 3, 4, path) == diagonal
+        assert cache_writes == [path]
 
 
 @pytest.mark.parametrize("layout", sorted(_LEGACY), ids=lambda layout: layout.replace(" ", ""))
@@ -295,7 +315,8 @@ def test_text_cache_is_migrated_to_ctab_4(tmp_path, cache_writes, n_max, layout)
 
 def test_load_table_refuses_ctab_2(tmp_path):
     path = tmp_path / "dfa-k3.ctab"
-    for layout, (golden, _) in _LEGACY.items():
+    goldens = {"ctab 1": _CTAB1, **{layout: golden for layout, (golden, _) in _LEGACY.items()}}
+    for layout, golden in goldens.items():
         path.write_bytes(golden)
         with pytest.raises(CacheError, match=f"cache-version: a {layout} file"):
             load_table(path)
@@ -371,46 +392,41 @@ def test_cache_round_trips_counts_over_the_int_str_limit(tmp_path, default_int_l
     assert elapsed <= 1.0
 
 
-def test_legacy_cell_over_the_int_str_limit_names_the_limit(tmp_path, default_int_limit):
-    # load_table reads the one decimal layout left, ctab 1; its top cell
-    # here has 4,401 digits, written with the limit lifted
+def test_wedge_cell_over_the_int_str_limit_round_trips(tmp_path, default_int_limit):
+    # a ctab 5 cell is its bytes, so a 4,401-digit cell needs no int-str
+    # conversion either way
     path = tmp_path / "relaxed-k3.ctab"
     table = build_table("relaxed", 3, 6)
     table.columns[6][3] = 10**4400
-    sys.set_int_max_str_digits(0)
     save_table(table, path)
-    sys.set_int_max_str_digits(4300)
-    stamp = path.read_bytes()
-    with pytest.raises(CacheError, match=r"^cache-limit: .*4300 digits.*set_int_max_str_digits"):
-        load_table(path)
-    assert path.read_bytes() == stamp
-    # with the limit raised, as the CLI raises it, the wedge loads
-    sys.set_int_max_str_digits(0)
     assert load_table(path).columns == table.columns
 
 
-def test_load_rejects_corruption(tmp_path):
-    table = build_table("relaxed", 2, 6)
+def test_load_rejects_corruption(tmp_path, resign):
     path = tmp_path / "t.ctab"
-    save_table(table, path)
-    text = path.read_text()
+    save_table(build_table("relaxed", 2, 6), path)
+    data = path.read_bytes()
 
-    path.write_text(text.replace("ctab 1", "ctab 9", 1))
-    with pytest.raises(CacheError, match="cache-corrupt"):
+    path.write_bytes(data.replace(b"ctab 5", b"ctab 9", 1))
+    with pytest.raises(CacheError, match="^cache-corrupt: bad header$"):
         load_table(path)
 
-    # flip one digit of the body: checksum must catch it
-    lines = text.splitlines(keepends=True)
-    lines[-1] = "9" + lines[-1][1:]
-    path.write_text("".join(lines))
-    with pytest.raises(CacheError, match="checksum"):
+    # flip one bit of the body: checksum must catch it
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+    with pytest.raises(CacheError, match="^cache-corrupt: checksum mismatch$"):
         load_table(path)
 
-    path.write_text(text.rstrip("\n0123456789"))
-    with pytest.raises(CacheError, match="cache-corrupt"):
+    path.write_bytes(data[:-6])
+    with pytest.raises(CacheError, match="^cache-corrupt: checksum mismatch$"):
         load_table(path)
 
-    with pytest.raises(CacheError, match="cache-corrupt"):
+    # a re-signed body one entry short passes the checksum, not the count
+    path.write_bytes(data)
+    resign(path, lambda body: body[:-6])
+    with pytest.raises(CacheError, match="^cache-corrupt: wrong entry count$"):
+        load_table(path)
+
+    with pytest.raises(CacheError, match="^cache-corrupt: unreadable file"):
         load_table(tmp_path / "missing.ctab")
 
 

@@ -51,8 +51,10 @@ def inputs() -> dict[str, str]:
         "bad-path-endpoint.json": json.dumps(_PATH_ENDPOINT),
         "garbage.json": "not json {",
         "corrupt/relaxed-k2.ctab": "ctab 2\nkind relaxed\nk 2\nn_max 3\nsha256 0\n1\n",
-        # valid cache files in the decimal ctab 2 and the hexadecimal ctab 3
-        # layouts, count(0..3); the last under another kind's name
+        # valid files in the decimal wedge ctab 1 and the cache's decimal
+        # ctab 2 and hexadecimal ctab 3 layouts, count(0..3); the last under
+        # another kind's name
+        "legacy1/dfa-k3.ctab": (FIXTURES / "dfa_k3_ctab1.ctab").read_text(),
         "legacy/dfa-k3.ctab": (FIXTURES / "dfa_k3_ctab2.ctab").read_text(),
         "legacy3/dfa-k3.ctab": (FIXTURES / "dfa_k3_ctab3.ctab").read_text(),
         "legacy-mismatch/relaxed-k2.ctab": (FIXTURES / "dfa_k3_ctab2.ctab").read_text(),
@@ -74,8 +76,9 @@ def commands() -> list[list[str]]:
         # the first size whose count has more than 4,300 digits
         ["count", "--kind", "relaxed", "--k", "3", "--n-max", "760"],
         ["count", "--kind", "relaxed", "--k", "2", "--n-max", "3", "--cache-dir", "corrupt"],
-        # read, then extend, a cache file in the ctab 2 and in the ctab 3
-        # layout, which the cache rebuilds; one of another kind is refused
+        # read, then extend, a file in the ctab 1, ctab 2 and ctab 3 layouts,
+        # which the cache rebuilds; one of another kind is refused
+        ["count", "--kind", "dfa", "--k", "3", "--n-max", "7", "--format", "json", "--cache-dir", "legacy1"],
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "3", "--cache-dir", "legacy"],
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "7", "--format", "json", "--cache-dir", "legacy"],
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "2", "--cache-dir", "legacy3"],
