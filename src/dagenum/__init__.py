@@ -34,7 +34,7 @@ _HOMES = {
     ),
     "trees": ("Child", "Node", "RelaxedTree", "is_compacted", "smallest_tree", "validate_tree"),
     "asym.airy": ("airy_ai", "airy_ai_prime"),
-    "asym.exact": ("exact_transform_diagonal", "p_ratio_check", "verify_transform", "weight_u"),
+    "asym.exact": ("exact_transform_diagonal", "p_ratio_check", "weight_u"),
     "asym.predict": (
         "RatioPoint",
         "airy_root_a1",

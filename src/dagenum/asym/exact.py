@@ -24,7 +24,8 @@ integers D[i][j] = d[i][j] k^u u! therefore obey
     D[i][j] = (k-1)^2 (i - j + k) D[i-1][j-1] + D[i-1][j+k-1]
 
 and count(n) = D[kn][0] / ((k-1)^2 k)^((k-1)n), a division that must be
-exact; verify_transform checks the result against the direct recurrence.
+exact; `verify --scope transform` checks the result against the direct
+recurrence.
 
 Row i keeps its entries at j = (i mod k) + k*t for t = 0 .. i//k; the
 iteration maps parent indices as
@@ -95,13 +96,6 @@ def exact_transform_diagonal(k: int, n_max: int) -> list[int]:
                 raise AssertionError(f"non-integral transform value at n={i // k}")
             out.append(value)
     return out
-
-
-def verify_transform(k: int, n_max: int) -> bool:
-    """Exact-transform route versus the direct recurrence diagonal."""
-    from ..tables import diagonal_sequence
-
-    return exact_transform_diagonal(k, n_max) == diagonal_sequence("relaxed", k, n_max)
 
 
 # p_ratio_check's cap on kn.  The integer counts would go far beyond it; it

@@ -35,13 +35,12 @@ def drift(k: int, i: int, j: int) -> float:
 @dataclass
 class ScaledTable:
     """Scaled d rows.  Only requested rows (plus the final one) are kept;
-    scale exponents and the j = 0 trace survive for every row."""
+    scale exponents survive for every row."""
 
     k: int
     i_max: int
     scale_log2: list[int]
     rows: dict[int, np.ndarray] = field(repr=False)
-    trace_j0: dict[int, float]
 
     def columns(self, i: int) -> np.ndarray:
         """Admissible j values of row i."""
@@ -75,9 +74,7 @@ def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
     keep.add(i_max)
     scale_log2 = [0]
     rows: dict[int, np.ndarray] = {}
-    trace: dict[int, float] = {}
     cur = np.array([1.0])
-    trace[0] = 1.0
     if 0 in keep:
         rows[0] = cur.copy()
     for i in range(1, i_max + 1):
@@ -93,11 +90,9 @@ def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
         e = math.frexp(mx)[1]
         cur = cur * math.ldexp(1.0, -e)
         scale_log2.append(scale_log2[-1] + e)
-        if r == 0:
-            trace[i] = float(cur[0])
         if i in keep:
             rows[i] = cur.copy()
-    return ScaledTable(k, i_max, scale_log2, rows, trace)
+    return ScaledTable(k, i_max, scale_log2, rows)
 
 
 @dataclass

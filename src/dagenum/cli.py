@@ -451,6 +451,10 @@ def main(argv=None) -> int:
     # to or from str; a count the byte budget admits can be longer.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(MAX_COUNT_DIGITS)
+    # OpenBLAS starts a worker per core when numpy loads; dagenum's one BLAS
+    # call, the dot products of profile_check, needs none.  A set value wins.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except CacheError as exc:

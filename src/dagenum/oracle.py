@@ -13,17 +13,9 @@ from collections import Counter
 from typing import Iterator
 
 from . import bijection, paths
+# the caps live with generate_paths, which shares them; callers import them here
+from .paths import DEFAULT_TREE_LIMITS, FALLBACK_TREE_LIMIT, _tree_limit
 from .trees import Child, Node, POINTER, RelaxedTree, SPINE, is_compacted
-
-# exhaustive-enumeration defaults; anything above needs an explicit limit
-DEFAULT_TREE_LIMITS = {2: 6, 3: 4, 4: 3}
-FALLBACK_TREE_LIMIT = 2
-
-
-def _tree_limit(k: int, limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    return DEFAULT_TREE_LIMITS.get(k, FALLBACK_TREE_LIMIT)
 
 
 def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[RelaxedTree]:
@@ -39,8 +31,9 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
         raise ValueError(f"arity-k: {k}")
     if n < 0:
         raise ValueError(f"negative-size: {n}")
-    if n > _tree_limit(k, limit):
-        raise ValueError(f"too-large: n={n} exceeds exhaustive limit {_tree_limit(k, limit)}")
+    limit = _tree_limit(k, limit)
+    if n > limit:
+        raise ValueError(f"too-large: n={n} exceeds exhaustive limit {limit}")
     if n == 0:
         yield RelaxedTree(k, ())
         return
@@ -81,8 +74,7 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
 
 def enumerate_relaxed_via_paths(k: int, n: int, limit: int | None = None) -> Iterator[RelaxedTree]:
     """Second route: enumerate decorated paths and pull them back through the bijection."""
-    eff = _tree_limit(k, limit)
-    for p in paths.generate_paths(k, n, limit=eff):
+    for p in paths.generate_paths(k, n, limit=limit):
         yield bijection.path_to_tree(p)
 
 

@@ -114,7 +114,19 @@ def _walk(p: DecoratedPath) -> tuple[PathReport, list[Node] | None]:
     return PathReport(True), nodes
 
 
-def generate_paths(k: int, n: int, limit: int = 8) -> Iterator[DecoratedPath]:
+# The exhaustive cap of both enumerations, the paths here and the trees of
+# the oracle, by arity; anything above needs an explicit limit.
+DEFAULT_TREE_LIMITS = {2: 6, 3: 4, 4: 3}
+FALLBACK_TREE_LIMIT = 2
+
+
+def _tree_limit(k: int, limit: int | None) -> int:
+    if limit is not None:
+        return limit
+    return DEFAULT_TREE_LIMITS.get(k, FALLBACK_TREE_LIMIT)
+
+
+def generate_paths(k: int, n: int, limit: int | None = None) -> Iterator[DecoratedPath]:
     """All valid paths to ((k-1)n, n), lexicographic with U < H(1) < H(2) < ...
 
     Every partial prefix that respects the diagonal and the step budget can
@@ -125,6 +137,7 @@ def generate_paths(k: int, n: int, limit: int = 8) -> Iterator[DecoratedPath]:
         raise ValueError(f"arity-k: {k}")
     if n < 0:
         raise ValueError(f"negative-size: {n}")
+    limit = _tree_limit(k, limit)
     if n > limit:
         raise ValueError(f"too-large: n={n} exceeds exhaustive limit {limit}")
     total_u = n + 1

@@ -86,9 +86,7 @@ def _check_args(kind: str, k: int, n_max: int):
         raise ValueError(f"negative-size: {n_max}")
 
 
-def _check_budget(
-    kind: str, k: int, col_max: int, wedge: bool, byte_budget: int = DEFAULT_BYTE_BUDGET
-) -> None:
+def _check_budget(kind: str, k: int, col_max: int, wedge: bool) -> None:
     """Refuse, before any work, a DP whose projected footprint exceeds the budget.
 
     Crude upper bound: column maxima grow by at most a factor a + m_max + 2
@@ -112,9 +110,10 @@ def _check_budget(
     total = 0
     for size in sizes:
         total += size
-        if total > byte_budget:
+        if total > DEFAULT_BYTE_BUDGET:
             raise ValueError(
-                f"byte-budget: projected table exceeds configured byte budget ({byte_budget})"
+                "byte-budget: projected table exceeds configured byte budget "
+                f"({DEFAULT_BYTE_BUDGET})"
             )
 
 
@@ -160,21 +159,17 @@ def _columns(
         yield col
 
 
-def build_table(
-    kind: str, k: int, n_max: int, byte_budget: int = DEFAULT_BYTE_BUDGET
-) -> CountTable:
+def build_table(kind: str, k: int, n_max: int) -> CountTable:
     """Fill the whole wedge up to column n_max, guarding the memory footprint."""
     _check_args(kind, k, n_max)
-    return extend_table(CountTable(kind, k, []), n_max, byte_budget)
+    return extend_table(CountTable(kind, k, []), n_max)
 
 
-def extend_table(
-    table: CountTable, n_max: int, byte_budget: int = DEFAULT_BYTE_BUDGET
-) -> CountTable:
+def extend_table(table: CountTable, n_max: int) -> CountTable:
     """Grow a table in place to a larger n_max; no-op when already big enough."""
     if n_max <= table.n_max:
         return table
-    _check_budget(table.kind, table.k, n_max, wedge=True, byte_budget=byte_budget)
+    _check_budget(table.kind, table.k, n_max, wedge=True)
     columns = table.columns
     columns.extend(_columns(table.kind, table.k, len(columns), n_max, columns[-table.k :]))
     return table
@@ -199,30 +194,17 @@ def _extend_diagonal(
     return list(window)
 
 
-def diagonal_sequence(kind: str, k: int, n_max: int, table: CountTable | None = None) -> list[int]:
+def diagonal_sequence(kind: str, k: int, n_max: int) -> list[int]:
     """[count(n) for n in 0..n_max], i.e. the wedge diagonal ((k-1)n, n).
 
-    With no table given the DP streams over columns keeping only the last
-    k, so large diagonals never hold the full wedge in memory.
+    The DP streams over columns keeping only the last k, so large diagonals
+    never hold the full wedge in memory.
     """
     _check_args(kind, k, n_max)
-    if table is not None:
-        _check_match(table.kind, table.k, kind, k)
-        if table.n_max < (k - 1) * n_max:
-            raise ValueError(f"out-of-range: table stops at column {table.n_max}")
-        return [table.diagonal(n) for n in range(n_max + 1)]
     _check_budget(kind, k, (k - 1) * n_max, wedge=False)
     diagonal: list[int] = []
     _extend_diagonal(kind, k, diagonal, [], n_max)
     return diagonal
-
-
-def _check_match(found_kind: str, found_k: int, kind: str, k: int) -> None:
-    if (found_kind, found_k) != (kind, k):
-        raise CacheError(
-            f"cache-mismatch: table is ({found_kind}, k={found_k}), "
-            f"requested ({kind}, k={k})"
-        )
 
 
 # ctab 5 holds the whole wedge (save_table/load_table) column by column;
@@ -384,8 +366,10 @@ def cached_diagonal(kind: str, k: int, n_max: int, path) -> list[int]:
     if path.exists():
         magic, found_kind, found_k, diagonal, tail = _load_diagonal(path)
     _check_args(kind, k, n_max)
-    if magic is not None:
-        _check_match(found_kind, found_k, kind, k)
+    if magic is not None and (found_kind, found_k) != (kind, k):
+        raise CacheError(
+            f"cache-mismatch: table is ({found_kind}, k={found_k}), requested ({kind}, k={k})"
+        )
     if n_max >= len(diagonal):
         _check_budget(kind, k, (k - 1) * n_max, wedge=False)
         tail = _extend_diagonal(kind, k, diagonal, tail, n_max)

@@ -172,31 +172,6 @@ def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int] | None]:
     return violations, None if violations else trace
 
 
-def fringe_key(t: RelaxedTree, label: int) -> str:
-    """Canonical serialization of the fully unfolded k-ary tree below `label`.
-
-    Spine and pointer children are unfolded uniformly, so the string can
-    grow exponentially with the tree: shared nodes appear once per path to
-    them (the doubling chain's root key has 3.1 M characters at n = 20).
-    `is_compacted` compares interned ids instead.  Keys are built bottom-up
-    over ascending labels, which both memoizes shared nodes and guarantees
-    termination: in a valid tree every child target carries a smaller
-    postorder label than its parent.
-    """
-    keys = {1: "s"}
-    for parent, children in sorted(t.nodes, key=itemgetter(0)):
-        for _, target in children:
-            if target >= parent or target not in keys:
-                raise ValueError(
-                    f"invalid-tree: node {parent} references {target}, "
-                    "which is not postorder-complete"
-                )
-        keys[parent] = "(" + "".join(keys[target] for _, target in children) + ")"
-    if label not in keys:
-        raise ValueError(f"no-such-node: {label}")
-    return keys[label]
-
-
 def is_compacted(t: RelaxedTree) -> bool:
     """True iff all fringe subtrees of internal nodes are pairwise distinct.
 

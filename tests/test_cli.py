@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import sys
 import time
 
@@ -232,6 +233,27 @@ def test_oversized_sweeps_exit_2_under_a_memory_cap(run_python, argv):
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: byte-budget: "), proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="lists /proc/self/task")
+@pytest.mark.parametrize("blas_threads,tasks", [(None, 1), ("2", 2)], ids=["unset", "set-to-2"])
+def test_numpy_loads_without_an_idle_blas_pool(run_python, monkeypatch, blas_threads, tasks):
+    # an in-process main() may already have set the variable in this process
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if blas_threads is not None:
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a second BLAS thread needs a second CPU")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    script = (
+        "import contextlib, io, os\n"
+        "from dagenum.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['asym', 'bounds', '--side', 'lower', '--k', '2', '--i-max', '20'])\n"
+        "print(code, len(os.listdir('/proc/self/task')))\n"
+    )
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {tasks}\n"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

@@ -96,6 +96,10 @@ def test_generation_guards():
         list(generate_paths(2, -1))
     with pytest.raises(ValueError, match="too-large"):
         list(generate_paths(2, 9))
+    # the default cap is the tree oracle's, per arity
+    for k, n in ((3, 5), (4, 4), (5, 3)):
+        with pytest.raises(ValueError, match=f"too-large: n={n} exceeds exhaustive limit {n - 1}"):
+            list(generate_paths(k, n))
     # the limit is overridable
     assert sum(1 for _ in generate_paths(3, 1, limit=1)) == 1
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dagenum.asym.exact import exact_transform_diagonal, verify_transform, weight_u
+from dagenum.asym.exact import exact_transform_diagonal, weight_u
 from dagenum.asym.scaled import build_scaled_table, drift, profile_check
 from dagenum.tables import diagonal_sequence
 from exact_reference import exact_rows, weight_u_exact
@@ -36,7 +36,6 @@ def test_drift_shape():
 @pytest.mark.parametrize("k,n_max", [(2, 10), (3, 6), (4, 4), (5, 3)])
 def test_exact_transform_matches_direct_diagonal(k, n_max):
     assert exact_transform_diagonal(k, n_max) == diagonal_sequence("relaxed", k, n_max)
-    assert verify_transform(k, n_max)
 
 
 def test_exact_transform_guards():
@@ -61,9 +60,6 @@ def test_d_log_and_trace():
     table = build_scaled_table(k, 12, keep_rows=[12])
     exact = exact_rows(k, 12)
     assert table.d_log(12, 0) == pytest.approx(math.log(float(exact[12][0])), rel=1e-12)
-    # the j = 0 trace is recorded whenever the row has a j = 0 column
-    for i in range(0, 13, k):
-        assert i in table.trace_j0
     with pytest.raises(ValueError, match="row-not-retained"):
         table.row(5)
     with pytest.raises(ValueError, match="out-of-range"):

@@ -14,7 +14,6 @@ from dagenum.trees import (
     SPINE,
     Violation,
     dumps,
-    fringe_key,
     is_compacted,
     loads,
     smallest_tree,
@@ -127,7 +126,6 @@ def _valid_pair_tree(second_children):
 def test_is_compacted_detects_duplicate_fringe():
     dup = _valid_pair_tree((P(1), P(1)))
     assert validate_tree(dup).ok
-    assert fringe_key(dup, 2) == fringe_key(dup, 3) == "(ss)"
     assert not is_compacted(dup)
 
     ok = _valid_pair_tree((P(1), P(2)))
@@ -155,19 +153,6 @@ def test_is_compacted_is_linear_on_the_doubling_chain(run_python):
 def test_is_compacted_rejects_invalid_tree():
     with pytest.raises(ValueError, match="invalid-tree"):
         is_compacted(RelaxedTree(2, (Node(2, (S(1),)),)))
-
-
-def test_fringe_key_of_sink():
-    assert fringe_key(smallest_tree(2), 1) == "s"
-    with pytest.raises(ValueError, match="no-such-node"):
-        fringe_key(smallest_tree(2), 7)
-
-
-def test_fringe_key_rejects_a_child_not_below_its_parent():
-    # node 2 points at node 3, which completes after it
-    forward = RelaxedTree(2, (Node(2, (S(1), P(3))), Node(3, (S(2), P(1)))))
-    with pytest.raises(ValueError, match="invalid-tree: node 2 references 3"):
-        fringe_key(forward, 3)
 
 
 def test_document_round_trip():
