@@ -32,7 +32,7 @@ _HOMES = {
         "load_table",
         "save_table",
     ),
-    "trees": ("Child", "Node", "RelaxedTree", "is_compacted", "smallest_tree", "validate_tree"),
+    "trees": ("Child", "Node", "RelaxedTree", "is_compacted", "validate_tree"),
     "asym.airy": ("airy_ai", "airy_ai_prime"),
     "asym.exact": ("exact_transform_diagonal", "p_ratio_check", "weight_u"),
     "asym.predict": (
@@ -42,7 +42,7 @@ _HOMES = {
         "predictor_log",
         "ratio_diagnostic",
     ),
-    "asym.scaled": ("ScaledTable", "build_scaled_table", "drift", "profile_check"),
+    "asym.scaled": ("ScaledTable", "build_scaled_table", "profile_check"),
     "asym.bounds": (
         "BoundParams",
         "BoundReport",

@@ -32,25 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from ..tables import DEFAULT_BYTE_BUDGET
 from .airy import _airy_ai_vec
+# bench/layers.py and bench/spans.py look p_ratio_check up here
 from .exact import p_ratio_check, weight_u
 from .predict import airy_root_a1, airy_scale, profile_argument
-
-__all__ = [
-    "BoundParams",
-    "BoundReport",
-    "bound_value",
-    "h_product_log",
-    "min_eta",
-    "p_ratio_check",
-    "s_factor",
-    "verify_bounds",
-]
 
 # Below this magnitude both inequality sides have fallen through the
 # double-precision denormal range (Ai underflows near argument 108), so a
@@ -130,23 +119,15 @@ def _bracket_coeffs(p: BoundParams) -> tuple[float, float, float, float, float]:
 
 
 def _default_quartic(p: BoundParams, i: int, j):
-    """Standard upper-side quartic correction eta * j^4 / i^2.
-
-    verify_bounds and bound_value accept any callable with this signature
-    in its place, so alternative readings of the quartic term can be
-    tested without touching the verifier.
-    """
+    """The upper witness's quartic correction eta * j^4 / i^2."""
     return p.eta * j**4 / float(i) ** 2
-
-
-QuarticTerm = Callable[[BoundParams, int, "np.ndarray | float"], "np.ndarray | float"]
 
 
 def _x_row(
     side: str,
     p: BoundParams,
     rows: list[tuple[int, np.ndarray]],
-    quartic: QuarticTerm,
+    quartic,
     clamp: bool,
 ) -> list[np.ndarray]:
     """Witness values X(i, j), one array for each (i, js) row, js an integer
@@ -180,13 +161,7 @@ def _x_row(
     return np.split(vals, np.cumsum([br.shape[0] for br in brackets])[:-1])
 
 
-def bound_value(
-    side: str,
-    params: BoundParams,
-    i: int,
-    j: int,
-    quartic: Optional[QuarticTerm] = None,
-) -> float:
+def bound_value(side: str, params: BoundParams, i: int, j: int) -> float:
     """Witness value X(i, j) from the closed formula.
 
     Returns the raw formula value; the lower side's clamping at zero is
@@ -196,8 +171,7 @@ def bound_value(
     _check_side(side)
     if i < 1:
         raise ValueError(f"out-of-range: i={i} is below 1")
-    q = quartic if quartic is not None else _default_quartic
-    return float(_x_row(side, params, [(i, np.array([j]))], q, clamp=False)[0][0])
+    return float(_x_row(side, params, [(i, np.array([j]))], _default_quartic, clamp=False)[0][0])
 
 
 def s_factor(side: str, k: int, i: int) -> float:
@@ -273,7 +247,7 @@ def _scan_block(
     side: str,
     params: BoundParams,
     p_exp: float,
-    quartic: QuarticTerm,
+    quartic,
     lo: int,
     hi: int,
 ) -> list[tuple[int, int]]:
@@ -325,7 +299,6 @@ def verify_bounds(
     eta: float,
     epsilon: float,
     i_range: tuple[int, int],
-    quartic: Optional[QuarticTerm] = None,
 ) -> BoundReport:
     """Exhaustively check one witness inequality on a finite index range.
 
@@ -340,7 +313,6 @@ def verify_bounds(
     i_min, i_max = int(i_range[0]), int(i_range[1])
     if i_min < 2 or i_max < i_min:
         raise ValueError(f"i-range: ({i_min}, {i_max}) needs 2 <= i_min <= i_max")
-    q = quartic if quartic is not None else _default_quartic
     p_exp = (2.0 / 3.0 - epsilon) if side == "lower" else (1.0 - epsilon)
     # widest row plus one block, before any array; min() keeps float(i) finite
     widest = _window(min(i_max, 2**1000), p_exp) + k + 3
@@ -348,7 +320,7 @@ def verify_bounds(
         raise ValueError(
             f"byte-budget: projected sweep exceeds configured byte budget ({DEFAULT_BYTE_BUDGET})"
         )
-    violations = _scan_block(side, params, p_exp, q, i_min, i_max)
+    violations = _scan_block(side, params, p_exp, _default_quartic, i_min, i_max)
     return BoundReport(
         side=side,
         params=params,

@@ -24,14 +24,6 @@ from .exact import _check, _parent_rows, exact_transform_diagonal, weight_u
 from .predict import profile_argument
 
 
-def drift(k: int, i: int, j: int) -> float:
-    """Expected column movement of the weighted walk at (i, j); positive
-    toward larger j for the first k-1 residues, then pulled back."""
-    if 0 <= j <= k - 2:
-        return 1.0
-    return -k * (k - 1) * (j - k + 2) / (k * (i + 1) - i + j)
-
-
 @dataclass
 class ScaledTable:
     """Scaled d rows.  Only requested rows (plus the final one) are kept;

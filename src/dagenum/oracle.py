@@ -13,8 +13,7 @@ from collections import Counter
 from typing import Iterator
 
 from . import bijection, paths
-# the caps live with generate_paths, which shares them; callers import them here
-from .paths import DEFAULT_TREE_LIMITS, FALLBACK_TREE_LIMIT, _tree_limit
+from .paths import _tree_limit
 from .trees import Child, Node, POINTER, RelaxedTree, SPINE, is_compacted
 
 
@@ -86,10 +85,10 @@ def count_compacted_oracle(k: int, n: int, limit: int | None = None) -> int:
     return sum(1 for t in enumerate_relaxed(k, n, limit=limit) if is_compacted(t))
 
 
-def count_min_dfa_oracle(k: int, states: int, minimal: bool = True) -> int:
-    """Complete DFAs over a k-letter alphabet recognizing a finite language,
-    counted up to isomorphism: initially connected, acyclic except for the
-    unique dead state, and (by default) minimal.
+def count_min_dfa_oracle(k: int, states: int) -> int:
+    """Minimal complete DFAs over a k-letter alphabet recognizing a finite
+    language, counted up to isomorphism: initially connected and acyclic
+    except for the unique dead state.
 
     Alignment with the dfa counting sequence: states = n + 1 where n indexes
     the diagonal (n transient states plus the dead state; n = 0 is the
@@ -113,9 +112,7 @@ def count_min_dfa_oracle(k: int, states: int, minimal: bool = True) -> int:
         raise ValueError(f"negative-size: {states}")
     n = states - 1
     if k == 1:  # a chain, whose last transient state must accept to be minimal
-        return 1 << (n - 1) if minimal and n else 1 << n
-    if not minimal:
-        return count_relaxed_oracle(k, n) << n
+        return 1 << (n - 1) if n else 1
     return sum(_minimal_bits(t) for t in enumerate_relaxed(k, n))
 
 

@@ -46,11 +46,6 @@ class DecoratedPath:
         """Internal-node count of the image tree: U steps minus one."""
         return sum(1 for s in self.steps if s.kind == "U") - 1
 
-    def endpoint(self) -> tuple[int, int]:
-        x = sum(1 for s in self.steps if s.kind == "H")
-        y = -1 + sum(1 for s in self.steps if s.kind == "U")
-        return x, y
-
 
 class PathReport(NamedTuple):
     ok: bool

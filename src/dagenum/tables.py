@@ -59,16 +59,6 @@ class CountTable(namedtuple("CountTable", "kind k columns")):
     def n_max(self) -> int:
         return len(self.columns) - 1
 
-    def entry(self, n: int, m: int) -> int:
-        if not 0 <= n <= self.n_max or m < 0:
-            raise ValueError(f"out-of-range: ({n}, {m})")
-        if (self.k - 1) * m > n:
-            return 0
-        return self.columns[n][m]
-
-    def diagonal(self, n: int) -> int:
-        return self.entry((self.k - 1) * n, n)
-
     def wedge_size(self) -> int:
         return _wedge_size(self.k, self.n_max)
 

@@ -44,10 +44,6 @@ class RelaxedTree:
     def n(self) -> int:
         return len(self.nodes)
 
-    @property
-    def root_label(self) -> int:
-        return len(self.nodes) + 1
-
 
 class Violation(NamedTuple):
     code: str
@@ -58,9 +54,6 @@ class Violation(NamedTuple):
 class ValidationReport:
     ok: bool
     violations: list[Violation] = field(default_factory=list)
-
-    def first_code(self) -> str | None:
-        return self.violations[0].code if self.violations else None
 
 
 def validate_tree(t: RelaxedTree) -> ValidationReport:
@@ -201,12 +194,6 @@ def is_compacted(t: RelaxedTree) -> bool:
             f"k={t.k} tree with {t.n} internal nodes"
         )
     return distinct_keys
-
-
-def smallest_tree(k: int) -> RelaxedTree:
-    """One internal node: first child spine to the sink, k-1 pointers to it."""
-    children = (Child(SPINE, 1),) + (Child(POINTER, 1),) * (k - 1)
-    return RelaxedTree(k, (Node(2, children),))
 
 
 def to_document(t: RelaxedTree) -> dict:

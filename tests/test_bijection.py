@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 from dagenum.bijection import path_to_tree, tree_to_path
 from dagenum.oracle import enumerate_relaxed, enumerate_relaxed_via_paths
 from dagenum.paths import DecoratedPath, dumps as path_dumps, generate_paths, horiz, loads as path_loads, up, validate_path
-from dagenum.trees import Node, RelaxedTree, dumps as tree_dumps, loads as tree_loads, smallest_tree, validate_tree
+from dagenum.trees import Child, Node, POINTER, RelaxedTree, SPINE, dumps as tree_dumps, loads as tree_loads, validate_tree
+
+
+def one_node_tree(k):
+    """One internal node: first child spine to the sink, k-1 pointers to it."""
+    return RelaxedTree(k, (Node(2, (Child(SPINE, 1),) + (Child(POINTER, 1),) * (k - 1)),))
 
 
 def test_empty_tree_maps_to_single_up():
@@ -16,9 +21,9 @@ def test_empty_tree_maps_to_single_up():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_smallest_tree_image(k):
-    p = tree_to_path(smallest_tree(k))
+    p = tree_to_path(one_node_tree(k))
     assert p.steps == (up(),) + (horiz(1),) * (k - 1) + (up(),)
-    assert path_to_tree(p) == smallest_tree(k)
+    assert path_to_tree(p) == one_node_tree(k)
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (3, 2), (4, 1)])

@@ -136,16 +136,6 @@ def test_verify_bounds_starts_no_threads(monkeypatch):
     assert report.first_verified_i0 == 8
 
 
-def test_verify_bounds_quartic_seam():
-    eta = 1.05 * min_eta(3)
-    default = verify_bounds("upper", 3, eta, 0.1, (2, 300))
-    same = verify_bounds(
-        "upper", 3, eta, 0.1, (2, 300),
-        quartic=lambda p, i, j: p.eta * j**4 / float(i) ** 2,
-    )
-    assert default.to_dict() == same.to_dict()
-
-
 @pytest.mark.parametrize("side,k", [("upper", 2), ("lower", 5)])
 def test_verify_bounds_block_invariance(monkeypatch, side, k):
     eta = 1.05 * min_eta(k)

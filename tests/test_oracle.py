@@ -1,12 +1,12 @@
 import pytest
 
 from dagenum.oracle import (
-    DEFAULT_TREE_LIMITS,
     count_compacted_oracle,
     count_min_dfa_oracle,
     count_relaxed_oracle,
     enumerate_relaxed,
 )
+from dagenum.paths import DEFAULT_TREE_LIMITS
 from dagenum.tables import diagonal_sequence
 from dagenum.trees import validate_tree
 
@@ -64,18 +64,21 @@ def test_min_dfa_oracle_matches_known_row(k, states_max):
         assert count_min_dfa_oracle(k, states) == row[states - 1] == diagonal[states - 1]
 
 
+def _decorated_trees(k, n):
+    """2^n r_n: every automaton, minimal or not, is a relaxed tree with one
+    accepting bit per internal node (a chain for k = 1)."""
+    return count_relaxed_oracle(k, n) << n if k > 1 else 1 << n
+
+
 # every size both routes reach: the reference stops at 5 states, the oracle
 # at the tree enumeration's n <= 6/4/3/2 for k = 2/3/4/5
 @pytest.mark.parametrize("k,states_max", [(1, 5), (2, 5), (3, 5), (4, 4), (5, 3)])
 def test_min_dfa_oracle_matches_transition_tables(k, states_max):
     for states in range(1, states_max + 1):
-        for minimal in (True, False):
-            expected = count_min_dfa_reference(k, states, minimal)
-            assert count_min_dfa_oracle(k, states, minimal) == expected, (states, minimal)
-
-
-def test_dropping_minimality_only_grows_the_count():
-    assert count_min_dfa_oracle(2, 3, minimal=False) >= count_min_dfa_oracle(2, 3)
+        expected = count_min_dfa_reference(k, states)
+        assert count_min_dfa_oracle(k, states) == expected, states
+        all_count = count_min_dfa_reference(k, states, minimal=False)
+        assert _decorated_trees(k, states - 1) == all_count, states
 
 
 @pytest.mark.parametrize(
@@ -85,7 +88,8 @@ def test_dropping_minimality_only_grows_the_count():
 )
 def test_min_dfa_oracle_pinned_counts(k, states, minimal_count, all_count):
     assert count_min_dfa_oracle(k, states) == minimal_count
-    assert count_min_dfa_oracle(k, states, minimal=False) == all_count
+    assert count_min_dfa_reference(k, states, minimal=False) == all_count
+    assert _decorated_trees(k, states - 1) == all_count
 
 
 def test_dfa_guards():
@@ -100,4 +104,3 @@ def test_dfa_guards():
         count_min_dfa_oracle(7, 4)  # fallback limit is 2
     # a unary automaton is a chain, counted in closed form at any size
     assert count_min_dfa_oracle(1, 40) == 2**38
-    assert count_min_dfa_oracle(1, 40, minimal=False) == 2**39

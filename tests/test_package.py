@@ -1,12 +1,17 @@
 """Package-wide guards: what each command imports, the lazily loaded
-package names, and no `assert` statement in the package (`python -O` drops
-them)."""
+package names, the names the benchmark looks up, and no `assert` statement
+in the package (`python -O` drops them)."""
 
 import ast
+import importlib
+import importlib.util
 import json
 import pathlib
+import re
 
 import dagenum
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 # Forgets the modules named in the JSON list sys.argv[2], which site may
 # have loaded, before it imports dagenum; then runs main() on each argv in
@@ -100,6 +105,37 @@ def test_all_names_resolve():
     assert set(dagenum.__all__) <= namespace.keys()
     assert namespace["verify_bounds"] is dagenum.asym.verify_bounds
     assert set(dagenum.__all__) <= set(dir(dagenum))
+
+
+def test_bench_seams_resolve():
+    """bench/ reaches into the package by name: spans.py wraps functions and
+    unpacks their arguments, layers.py calls functions and tables names."""
+    from dagenum import tables
+    from dagenum.asym import bounds
+
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+        bounds.verify_bounds("upper", 3, 1.05 * bounds.min_eta(3), 0.1, (2, 30))
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    # spans reads (side, params, p_exp, quartic, lo, hi) positionally and
+    # counts ceil(i^p_exp) cells per row: sum of ceil(i^0.9) for i = 2..30
+    assert summary["bounds._scan_block.upper"]["cells"] == 362
+
+    source = (BENCH / "layers.py").read_text()
+    functions = re.findall(r'_fn\("([\w.]+)", "(\w+)"\)', source)
+    attributes = re.findall(r'(?<![\w."])(tables?)\.(\w+)', source)
+    assert functions and attributes
+    for module, name in functions:
+        assert hasattr(importlib.import_module(module), name), (module, name)
+    for owner, name in attributes:
+        assert hasattr(tables if owner == "tables" else tables.CountTable, name), (owner, name)
 
 
 def test_no_bare_asserts_in_package():

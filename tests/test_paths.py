@@ -15,8 +15,7 @@ from dagenum.paths import (
 def test_trivial_path():
     p = DecoratedPath(2, (up(),))
     assert p.n == 0
-    assert p.endpoint() == (0, 0)
-    assert validate_path(p).ok
+    assert validate_path(p).ok  # the endpoint rule: ok and n = 0 put it at (0, 0)
 
 
 def test_arity_rejected():
@@ -82,9 +81,9 @@ def test_generation_order_k2_n2():
 def test_generated_counts(k, n, count):
     seen = 0
     for p in generate_paths(k, n):
+        # the endpoint rule: ok and p.n == n put the path's end at ((k-1)n, n)
         assert validate_path(p).ok
         assert p.n == n
-        assert p.endpoint() == ((k - 1) * n, n)
         seen += 1
     assert seen == count
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dagenum.asym.exact import exact_transform_diagonal, weight_u
-from dagenum.asym.scaled import build_scaled_table, drift, profile_check
+from dagenum.asym.scaled import build_scaled_table, profile_check
 from dagenum.tables import diagonal_sequence
 from exact_reference import exact_rows, weight_u_exact
 
@@ -23,14 +23,6 @@ def test_weight_corner_value():
     # (k-1)^2 (i - j + k) / ((k-1) i + j) at the first admissible cell
     assert weight_u_exact(2, 1, 1) == Fraction(1)
     assert weight_u_exact(3, 1, 1) == Fraction(4)
-
-
-def test_drift_shape():
-    assert drift(3, 10, 0) == 1.0
-    assert drift(3, 10, 1) == 1.0
-    assert drift(3, 10, 4) < 0.0
-    # for k = 2 the pull-back term is -2j / (2(i+1) - i + j)
-    assert drift(2, 50, 7) == pytest.approx(-2 * 7 / (2 * 51 - 50 + 7))
 
 
 @pytest.mark.parametrize("k,n_max", [(2, 10), (3, 6), (4, 4), (5, 3)])

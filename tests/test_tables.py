@@ -34,19 +34,7 @@ def test_diagonals_match_known_rows(kind, k):
 def test_table_route_equals_streaming_route():
     for kind in KINDS:
         table = build_table(kind, 3, 14)
-        assert [table.diagonal(n) for n in range(8)] == diagonal_sequence(kind, 3, 7)
-
-
-def test_entry_semantics():
-    table = build_table("relaxed", 2, 6)
-    assert table.entry(0, 0) == 1
-    assert all(table.entry(n, 0) == 1 for n in range(7))
-    assert table.entry(3, 4) == 0  # above the wedge
-    with pytest.raises(ValueError, match="out-of-range"):
-        table.entry(7, 0)
-    with pytest.raises(ValueError, match="out-of-range"):
-        table.entry(3, -1)
-    assert table.diagonal(6) == table.entry(6, 6)
+        assert [table.columns[2 * n][n] for n in range(8)] == diagonal_sequence(kind, 3, 7)
 
 
 def test_argument_guards():
@@ -68,10 +56,8 @@ def test_extend_table():
     before = [list(col) for col in table.columns]
     extend_table(table, 8)
     assert table.n_max == 8
-    for n, col in enumerate(before):
-        for m, value in enumerate(col):
-            assert table.entry(n, m) == value
-    assert table.diagonal(8) == known_row("compacted", 2)[8]
+    assert table.columns[: len(before)] == before
+    assert table.columns[8][8] == known_row("compacted", 2)[8]
     # shrinking is a no-op
     extend_table(table, 3)
     assert table.n_max == 8
@@ -456,21 +442,21 @@ def test_recurrences_hold_pointwise(point):
     n, m = point
 
     def read(table, nn, mm):
-        if nn < 0 or 2 * mm > nn:
+        if nn < 0 or 2 * mm > nn:  # zero outside the wedge
             return 0
-        return table.entry(nn, mm)
+        return table.columns[nn][mm]
 
     r = _REL3
-    assert r.entry(n, m) == read(r, n, m - 1) + (m + 1) * read(r, n - 1, m)
+    assert read(r, n, m) == read(r, n, m - 1) + (m + 1) * read(r, n - 1, m)
 
     def sub(table, nn, mm):
         return 1 if mm == 0 else read(table, nn, mm)
 
     c = _CMP3
-    assert c.entry(n, m) == (
+    assert read(c, n, m) == (
         read(c, n, m - 1) + (m + 1) * read(c, n - 1, m) - (m - 1) * sub(c, n - 3, m - 1)
     )
     b = _DFA3
-    assert b.entry(n, m) == (
+    assert read(b, n, m) == (
         2 * read(b, n, m - 1) + (m + 1) * read(b, n - 1, m) - m * sub(b, n - 3, m - 1)
     )
