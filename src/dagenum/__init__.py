@@ -33,7 +33,7 @@ _HOMES = {
         "save_table",
     ),
     "trees": ("Child", "Node", "RelaxedTree", "is_compacted", "validate_tree"),
-    "asym.airy": ("airy_ai", "airy_ai_prime"),
+    "asym.airy": ("airy_ai",),
     "asym.exact": ("exact_transform_diagonal", "p_ratio_check", "weight_u"),
     "asym.predict": (
         "RatioPoint",
@@ -46,8 +46,6 @@ _HOMES = {
     "asym.bounds": (
         "BoundParams",
         "BoundReport",
-        "bound_value",
-        "h_product_log",
         "min_eta",
         "s_factor",
         "verify_bounds",

@@ -1,6 +1,5 @@
-"""Airy function Ai and its derivative Ai' on [-6, inf) without external
-special-function libraries.  Ai and Ai' share the code of both regimes and
-differ only in coefficients and prefactors:
+"""Airy function Ai on [-6, inf) without external special-function
+libraries, in two regimes:
 
   * x <= 8: one double-double Maclaurin loop.  Both f and g grow like
     exp((2/3)x^{3/2}) while Ai decays, so near x = 8 roughly 13 decimal
@@ -13,8 +12,8 @@ differ only in coefficients and prefactors:
     1e-325; points past 115 are 0.0 without being evaluated.
 
 One dispatcher, _airy_ai_vec, holds the domain check and the split into
-regimes; airy_ai and airy_ai_prime call it on a one-point array, so a scalar
-equals the vector value bit for bit.  Arguments left of -6 raise
+regimes; airy_ai calls it on a one-point array, so a scalar equals the
+vector value bit for bit.  Arguments left of -6 raise
 ValueError("airy-domain: ..."): the oscillatory tail is not needed here.
 """
 
@@ -26,7 +25,7 @@ import numpy as np
 
 AIRY_DOMAIN_MIN = -6.0
 AIRY_SERIES_CUTOFF = 8.0
-# Ai and Ai' are 0.0 in double precision well before this.
+# Ai is 0.0 in double precision well before this.
 _ZERO_CUTOFF = 115.0
 
 # double-double error-free transformations -------------------------------
@@ -91,28 +90,21 @@ _TINY = 1e-35
 _MAX_TERMS = 120
 
 
-def _series_dd(x, prime: bool):
+def _series_dd(x):
     """Maclaurin evaluation for x <= 8 (a numpy array), in double-double.
 
-    Ai = Ai(0) f + Ai'(0) g, and Ai' the same with f', g' (DLMF §9.4).
-    Each of the four series has t_i = t_{i-1} x^3 / ((3i+a)(3i+b)):
-    f (0, -1) and g (1, 0) from 1 and x, f' (2, 0) and g' (0, -2) from
-    x^2/2 and 1.  Both series of a pair stop together, once every term of
-    either is below _TINY of the array's sums.
+    Ai = Ai(0) f + Ai'(0) g (DLMF §9.4), where f and g start from 1 and x
+    and step by t_i = t_{i-1} x^3 / (3i (3i-1)) and x^3 / ((3i+1) 3i).  Both
+    series stop together, once every term of either is below _TINY of the
+    array's sums.
     """
-    x2 = _two_prod(x, x)
-    x3 = _dd_mul_f(x2, x)
-    if prime:  # f' from x^2/2, g' from 1
-        tf, tg = _dd_mul_f(x2, 0.5), (x * 0.0 + 1.0, x * 0.0)
-        (af, bf), (ag, bg) = (2, 0), (0, -2)
-    else:  # f from 1, g from x
-        tf, tg = (x * 0.0 + 1.0, x * 0.0), (x + 0.0, x * 0.0)
-        (af, bf), (ag, bg) = (0, -1), (1, 0)
+    x3 = _dd_mul_f(_two_prod(x, x), x)
+    tf, tg = (x * 0.0 + 1.0, x * 0.0), (x + 0.0, x * 0.0)
     f, g = tf, tg
     for i in range(1, _MAX_TERMS):
-        tf = _dd_div_f(_dd_mul(tf, x3), (3 * i + af) * (3 * i + bf))
+        tf = _dd_div_f(_dd_mul(tf, x3), (3 * i) * (3 * i - 1))
         f = _dd_add(f, tf)
-        tg = _dd_div_f(_dd_mul(tg, x3), (3 * i + ag) * (3 * i + bg))
+        tg = _dd_div_f(_dd_mul(tg, x3), (3 * i + 1) * (3 * i))
         g = _dd_add(g, tg)
         scale = float(np.max(np.abs(f[0]))) + float(np.max(np.abs(g[0]))) + 1.0
         if max(float(np.max(np.abs(tf[0]))), float(np.max(np.abs(tg[0])))) < _TINY * scale:
@@ -120,20 +112,19 @@ def _series_dd(x, prime: bool):
     return _dd_add(_dd_mul(f, _AI0), _dd_mul(g, _AIP0))[0]
 
 
-def _asym(x, prime: bool):
+def _asym(x):
     """Asymptotic expansion for x > 8 (a numpy array), plain doubles.
 
     With zeta = (2/3) x^{3/2}, the sum's term ratio is
-    -(6i+p)(6i+q) / (72 i zeta), (p, q) = (-1, -5) for Ai and (1, -7) for
-    Ai' (DLMF §9.7).  A point's sum stops at its smallest term.
+    -(6i-1)(6i-5) / (72 i zeta) (DLMF §9.7).  A point's sum stops at its
+    smallest term.
     """
     zeta = (2.0 / 3.0) * x * np.sqrt(x)
-    p, q = (1, -7) if prime else (-1, -5)
     total = np.ones_like(zeta)
     term = np.ones_like(zeta)
     frozen = np.zeros_like(zeta, dtype=bool)
     for i in range(1, 60):
-        nxt = -term * ((6 * i + p) * (6 * i + q)) / (72.0 * i * zeta)
+        nxt = -term * ((6 * i - 1) * (6 * i - 5)) / (72.0 * i * zeta)
         grew = np.abs(nxt) >= np.abs(term)
         frozen = frozen | grew
         total = total + np.where(frozen, 0.0, nxt)
@@ -141,16 +132,12 @@ def _asym(x, prime: bool):
         if bool(np.all(frozen)) or float(np.max(np.abs(np.where(frozen, 0.0, term)))) < 1e-20:
             break
     with np.errstate(under="ignore"):
-        if prime:
-            pref = -(x**0.25) * np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-        else:
-            pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x**0.25)
+        pref = np.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x**0.25)
     return pref * total
 
 
-def _airy_ai_vec(xs, prime: bool = False) -> np.ndarray:
-    """Ai, or Ai' if prime, elementwise over xs (all >= -6); airy_ai and
-    airy_ai_prime call it on one point."""
+def _airy_ai_vec(xs) -> np.ndarray:
+    """Ai elementwise over xs (all >= -6); airy_ai calls it on one point."""
     xs = np.asarray(xs, dtype=float)
     if xs.size and float(np.min(xs)) < AIRY_DOMAIN_MIN:
         raise ValueError(f"airy-domain: {float(np.min(xs))} is left of {AIRY_DOMAIN_MIN}")
@@ -158,17 +145,12 @@ def _airy_ai_vec(xs, prime: bool = False) -> np.ndarray:
     ser = xs <= AIRY_SERIES_CUTOFF
     asy = ~(ser | (xs > _ZERO_CUTOFF))
     if np.any(ser):
-        out[ser] = _series_dd(xs[ser], prime)
+        out[ser] = _series_dd(xs[ser])
     if np.any(asy):
-        out[asy] = _asym(xs[asy], prime)
+        out[asy] = _asym(xs[asy])
     return out
 
 
 def airy_ai(x: float) -> float:
     """Ai(x) for x >= -6."""
     return float(_airy_ai_vec([float(x)])[0])
-
-
-def airy_ai_prime(x: float) -> float:
-    """Ai'(x) for x >= -6."""
-    return float(_airy_ai_vec([float(x)], prime=True)[0])

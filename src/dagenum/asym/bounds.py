@@ -93,23 +93,11 @@ class BoundParams:
             raise ValueError(f"eta-finite: {self.eta} is not finite")
         if not 0.0 < self.epsilon < 2.0 / 3.0:
             raise ValueError(f"epsilon-range: {self.epsilon} outside (0, 2/3)")
-        if not self.B > 0.0:
-            raise AssertionError(f"B = {self.B} is not positive")
-        if not -2.4 < self.a1 < -2.3:
-            raise AssertionError(f"a1 = {self.a1} is outside (-2.4, -2.3)")
-
-    @property
-    def B(self) -> float:
-        return airy_scale(self.k)
-
-    @property
-    def a1(self) -> float:
-        return airy_root_a1()
 
 
 def _bracket_coeffs(p: BoundParams) -> tuple[float, float, float, float, float]:
     # c4 = c1^2/2 and c5 = c1*c2; kept in closed form for readability.
-    k, B, a1 = p.k, p.B, p.a1
+    k, B, a1 = p.k, airy_scale(p.k), airy_root_a1()
     c1 = a1 * (k - 2) * B**2 / 6.0
     c2 = (k + 2) / (6.0 * (k - 1))
     c3 = (7 * k - 11) / (6.0 * (k - 1))
@@ -128,10 +116,9 @@ def _x_row(
     p: BoundParams,
     rows: list[tuple[int, np.ndarray]],
     quartic,
-    clamp: bool,
 ) -> list[np.ndarray]:
     """Witness values X(i, j), one array for each (i, js) row, js an integer
-    column vector.
+    column vector; the lower side's values are clamped at zero.
 
     The brackets are built row by row; the Airy factors of all rows are
     evaluated in one call.
@@ -156,22 +143,9 @@ def _x_row(
         args.append(profile_argument(p.k, i, jf))
     ai = _airy_ai_vec(np.concatenate(args))
     vals = np.concatenate(brackets) * ai
-    if clamp:
+    if side == "lower":
         vals = np.maximum(vals, 0.0)
     return np.split(vals, np.cumsum([br.shape[0] for br in brackets])[:-1])
-
-
-def bound_value(side: str, params: BoundParams, i: int, j: int) -> float:
-    """Witness value X(i, j) from the closed formula.
-
-    Returns the raw formula value; the lower side's clamping at zero is
-    applied by verify_bounds, not here.  The ghost column j = -1 evaluates
-    to bracket * Ai(a1), which is zero up to the root tolerance.
-    """
-    _check_side(side)
-    if i < 1:
-        raise ValueError(f"out-of-range: i={i} is below 1")
-    return float(_x_row(side, params, [(i, np.array([j]))], _default_quartic, clamp=False)[0][0])
 
 
 def s_factor(side: str, k: int, i: int) -> float:
@@ -191,27 +165,6 @@ def s_factor(side: str, k: int, i: int) -> float:
         + (7 * k - 6) / (6.0 * i)
         + tail
     )
-
-
-def h_product_log(side: str, k: int, i: int, start: int = 1) -> float:
-    """ln prod_{t=start..i} s(t), the column normalizer in log form.
-
-    Raises a "log-domain" error when a factor is non-positive: for k=2 the
-    lower side has s(1) < 0, so its product only has a real logarithm when
-    started at t=2 (constant offsets are absorbed by the bracketing
-    constants, so diagnostics may shift the start index).
-    """
-    if start < 1:
-        raise ValueError(f"out-of-range: start={start} is below 1")
-    if i < start:
-        raise ValueError(f"out-of-range: i={i} is below start={start}")
-    total = 0.0
-    for t in range(start, i + 1):
-        s = s_factor(side, k, t)
-        if s <= 0.0:
-            raise ValueError(f"log-domain: factor at t={t} is {s!r}")
-        total += math.log(s)
-    return total
 
 
 @dataclass
@@ -262,7 +215,6 @@ def _scan_block(
     seams do not change it.
     """
     k = params.k
-    clamp = side == "lower"
     out: list[tuple[int, int]] = []
     prev = None
     nxt = lo - 1
@@ -274,7 +226,7 @@ def _scan_block(
             block.append((nxt, js))
             points += js.shape[0]
             nxt += 1
-        for (i, _), cur in zip(block, _x_row(side, params, block, quartic, clamp)):
+        for (i, _), cur in zip(block, _x_row(side, params, block, quartic)):
             if i < lo:
                 prev = cur
                 continue
@@ -285,7 +237,7 @@ def _scan_block(
             u = weight_u(k, i, jf)
             lhs = s_factor(side, k, i) * cur[1 : cnt + 1]
             rhs = u * prev[0:cnt] + prev[k : cnt + k]
-            bad = (lhs > rhs) if clamp else (lhs < rhs)
+            bad = (lhs > rhs) if side == "lower" else (lhs < rhs)
             bad &= np.maximum(np.abs(lhs), np.abs(rhs)) >= _UNDERFLOW_FLOOR
             if bad.any():
                 out.extend((i, int(j)) for j in np.nonzero(bad)[0])

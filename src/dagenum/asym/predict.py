@@ -141,7 +141,7 @@ def ratio_diagnostic(
             log_count = (
                 log_factorial((k - 1) * n)
                 - 2.0 * (k - 1) * n * ln_km1
-                + table.d_log(k * n, 0)
+                + (math.log(table.rows[k * n][0]) + table.scale_log2[k * n] * _LN2)
             )
             points[n] = RatioPoint(n, log_count, predictor_log(k, n), "scaled")
     return [points[n] for n in ns]

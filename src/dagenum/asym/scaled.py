@@ -14,7 +14,8 @@ fitting a single scale factor by least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,35 +25,13 @@ from .exact import _check, _parent_rows, exact_transform_diagonal, weight_u
 from .predict import profile_argument
 
 
-@dataclass
-class ScaledTable:
-    """Scaled d rows.  Only requested rows (plus the final one) are kept;
-    scale exponents survive for every row."""
+class ScaledTable(NamedTuple):
+    """Scaled d rows: rows[i] holds row i over its admissible columns
+    j = i % k, i % k + k, ..., for the requested rows (plus the final one);
+    the true row is rows[i] * 2**scale_log2[i], kept for every i."""
 
-    k: int
-    i_max: int
     scale_log2: list[int]
-    rows: dict[int, np.ndarray] = field(repr=False)
-
-    def columns(self, i: int) -> np.ndarray:
-        """Admissible j values of row i."""
-        return np.arange(i // self.k + 1) * self.k + (i % self.k)
-
-    def row(self, i: int) -> np.ndarray:
-        if i not in self.rows:
-            raise ValueError(f"row-not-retained: {i}")
-        return self.rows[i]
-
-    def d_log(self, i: int, j: int) -> float:
-        """Natural log of the true d[i][j] for a retained row."""
-        row = self.row(i)
-        r = i % self.k
-        if j < 0 or j % self.k != r or j > i:
-            raise ValueError(f"out-of-range: ({i}, {j})")
-        value = float(row[(j - r) // self.k])
-        if value <= 0.0:
-            raise ValueError(f"log-domain: d[{i}][{j}] underflowed to zero")
-        return math.log(value) + self.scale_log2[i] * math.log(2.0)
+    rows: dict[int, np.ndarray]
 
 
 _ROW_CEILING = 20000
@@ -84,7 +63,7 @@ def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
         scale_log2.append(scale_log2[-1] + e)
         if i in keep:
             rows[i] = cur.copy()
-    return ScaledTable(k, i_max, scale_log2, rows)
+    return ScaledTable(scale_log2, rows)
 
 
 @dataclass
@@ -110,9 +89,8 @@ def profile_check(k: int, i: int, j_limit: int | None = None) -> ProfileResult:
         raise ValueError(f"out-of-range: profile needs i >= 100, got {i}")
     if j_limit is None:
         j_limit = int(float(i) ** (2.0 / 3.0 - 0.1))
-    table = build_scaled_table(k, i)
-    values = table.row(i)
-    js = table.columns(i)
+    values = build_scaled_table(k, i).rows[i]
+    js = np.arange(i // k + 1) * k + i % k
     sel = js <= j_limit
     if not bool(np.any(sel)):
         raise ValueError(f"empty-column: no admissible column below {j_limit}")

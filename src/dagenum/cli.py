@@ -79,6 +79,8 @@ def _check_enumeration(what: str, count: int) -> None:
 
 
 def _rows_report(n_max: int, results: list[dict]) -> dict:
+    if not results:  # rows start at n = 1: no rows to check is not a PASS
+        raise ValueError(f"out-of-range: n_max={n_max} checks no row")
     return {"n_max": n_max, "results": results, "ok": all(r["ok"] for r in results)}
 
 

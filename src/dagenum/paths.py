@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .trees import Child, Node, POINTER, SPINE
+from .trees import Child, Node, POINTER, SPINE, _int
 
 
 class Step(NamedTuple):
@@ -170,9 +170,9 @@ def to_document(p: DecoratedPath) -> dict:
 
 def from_document(doc: dict) -> DecoratedPath:
     try:
-        k = doc["k"]
+        k = _int(doc["k"])
         raw_steps = doc["steps"]
-        if not isinstance(k, int) or not isinstance(raw_steps, list):
+        if not isinstance(raw_steps, list):
             raise ValueError
         steps = []
         for raw in raw_steps:
@@ -180,7 +180,7 @@ def from_document(doc: dict) -> DecoratedPath:
             if kind == "U":
                 steps.append(up())
             elif kind == "H":
-                steps.append(horiz(int(raw["cross"])))
+                steps.append(horiz(_int(raw["cross"])))
             else:
                 raise ValueError
     except (KeyError, TypeError, ValueError):

@@ -210,19 +210,27 @@ def to_document(t: RelaxedTree) -> dict:
     }
 
 
+def _int(value) -> int:
+    """An integer field of a document; a bool, float or string is refused,
+    not truncated."""
+    if type(value) is not int:
+        raise ValueError
+    return value
+
+
 def from_document(doc: dict) -> RelaxedTree:
     try:
-        k = doc["k"]
+        k = _int(doc["k"])
         sink = doc["sink"]
         raw_nodes = doc["nodes"]
-        if not isinstance(k, int) or not isinstance(raw_nodes, list) or sink != 1:
+        if not isinstance(raw_nodes, list) or sink != 1:
             raise ValueError
         nodes = []
         for raw in raw_nodes:
             children = tuple(
-                Child(str(c["type"]), int(c["target"])) for c in raw["children"]
+                Child(str(c["type"]), _int(c["target"])) for c in raw["children"]
             )
-            nodes.append(Node(int(raw["label"]), children))
+            nodes.append(Node(_int(raw["label"]), children))
     except (KeyError, TypeError, ValueError):
         raise ValueError("tree-format: not a valid tree document") from None
     return RelaxedTree(k, tuple(nodes))

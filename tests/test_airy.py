@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dagenum.asym.airy import AIRY_DOMAIN_MIN, _airy_ai_vec, airy_ai, airy_ai_prime
+from dagenum.asym.airy import AIRY_DOMAIN_MIN, _airy_ai_vec, airy_ai
 from dagenum.asym.predict import airy_root_a1
 
 mpmath.mp.dps = 40
@@ -21,13 +21,6 @@ def _grid():
 def test_ai_against_mpmath(x):
     want = float(mpmath.airyai(x))
     got = airy_ai(x)
-    assert got == pytest.approx(want, rel=5e-13, abs=1e-300)
-
-
-@pytest.mark.parametrize("x", _grid())
-def test_ai_prime_against_mpmath(x):
-    want = float(mpmath.airyai(x, 1))
-    got = airy_ai_prime(x)
     assert got == pytest.approx(want, rel=5e-13, abs=1e-300)
 
 
@@ -60,8 +53,6 @@ def test_domain_guard():
     with pytest.raises(ValueError, match="airy-domain"):
         airy_ai(-6.0001)
     with pytest.raises(ValueError, match="airy-domain"):
-        airy_ai_prime(-7.0)
-    with pytest.raises(ValueError, match="airy-domain"):
         _airy_ai_vec(np.array([0.0, -6.5]))
     assert airy_ai(AIRY_DOMAIN_MIN) == pytest.approx(
         float(mpmath.airyai(-6.0)), rel=1e-12
@@ -70,8 +61,7 @@ def test_domain_guard():
 
 def test_deep_tail_underflows_to_zero():
     assert airy_ai(120.0) == 0.0
-    assert airy_ai_prime(120.0) == 0.0
-    assert math.copysign(1.0, airy_ai_prime(120.0)) == 1.0
+    assert math.copysign(1.0, airy_ai(120.0)) == 1.0
     # but well before that the value is a genuine denormal-free double
     assert airy_ai(100.0) > 0.0
     # points past the 115 cut-off are zero; points before it are evaluated
@@ -85,7 +75,6 @@ def test_first_root():
     want = float(mpmath.airyaizero(1))
     assert abs(a1 - want) < 1e-12
     assert abs(airy_ai(a1)) < 1e-12
-    assert airy_ai_prime(a1) != 0.0
 
 
 def test_first_root_is_the_nearest_double():
@@ -101,11 +90,3 @@ def test_ai_changes_sign_across_first_root():
     assert airy_ai(math.nextafter(a1, -math.inf)) < 0.0
     assert airy_ai(math.nextafter(a1, math.inf)) > 0.0
 
-
-def test_wronskian_identity():
-    # Ai(x) Bi'(x) - Ai'(x) Bi(x) = 1/pi; check our Ai against mpmath's Bi
-    for x in (-4.0, -1.0, 0.5, 3.0, 7.0):
-        lhs = airy_ai(x) * float(mpmath.airybi(x, 1)) - airy_ai_prime(x) * float(
-            mpmath.airybi(x)
-        )
-        assert lhs == pytest.approx(1.0 / math.pi, rel=1e-11)

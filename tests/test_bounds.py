@@ -2,20 +2,19 @@ import json
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from dagenum.asym import bounds
-from dagenum.asym.bounds import (
-    BoundParams,
-    bound_value,
-    h_product_log,
-    min_eta,
-    p_ratio_check,
-    s_factor,
-    verify_bounds,
-)
+from dagenum.asym.bounds import BoundParams, min_eta, p_ratio_check, s_factor, verify_bounds
 from dagenum.asym.exact import weight_u
+from dagenum.asym.predict import airy_root_a1, airy_scale
 from dagenum.tables import DEFAULT_BYTE_BUDGET
+
+
+def x(side, p, i, j):
+    """One witness value X(i, j), clamped at zero on the lower side."""
+    return float(bounds._x_row(side, p, [(i, np.array([j]))], bounds._default_quartic)[0][0])
 
 
 def test_min_eta_values():
@@ -27,9 +26,9 @@ def test_min_eta_values():
 
 
 def test_params_validation():
-    p = BoundParams(3, eta=1.05 * min_eta(3), epsilon=0.1)
-    assert p.B == pytest.approx(1.0)
-    assert -2.4 < p.a1 < -2.3
+    BoundParams(3, eta=1.05 * min_eta(3), epsilon=0.1)
+    assert airy_scale(3) == pytest.approx(1.0)
+    assert -2.4 < airy_root_a1() < -2.3
     with pytest.raises(ValueError, match="eta-floor"):
         BoundParams(3, eta=min_eta(3), epsilon=0.1)  # strict inequality
     with pytest.raises(ValueError, match="epsilon-range"):
@@ -54,30 +53,18 @@ def test_s_factor_signs_and_limits():
         s_factor("lower", 2, 0)
 
 
-def test_h_product_log():
-    with pytest.raises(ValueError, match="log-domain"):
-        h_product_log("lower", 2, 10)
-    assert h_product_log("lower", 2, 10, start=2) == pytest.approx(
-        math.fsum(math.log(s_factor("lower", 2, t)) for t in range(2, 11))
-    )
-    assert h_product_log("upper", 2, 10) > 0.0
-    with pytest.raises(ValueError, match="out-of-range"):
-        h_product_log("upper", 2, 10, start=0)
-    with pytest.raises(ValueError, match="out-of-range"):
-        h_product_log("upper", 2, 3, start=5)
-
-
 def test_h_product_ordering_k3():
-    assert h_product_log("lower", 3, 2000) <= h_product_log("upper", 3, 2000)
+    def h(side, i):  # ln prod_{t=1..i} s(t), the column normalizer
+        return math.fsum(math.log(s_factor(side, 3, t)) for t in range(1, i + 1))
+
+    assert h("lower", 2000) <= h("upper", 2000)
     # normalizing away i ln k, the Airy i^(1/3) term and the log term leaves
     # a sequence whose doubling gaps shrink (the raw h grows past 2000 here)
-    p = BoundParams(3, eta=1.05 * min_eta(3), epsilon=0.1)
-
     def norm(side, i):
         return (
-            h_product_log(side, 3, i)
+            h(side, i)
             - i * math.log(3)
-            - 3 * p.a1 * i ** (1 / 3) / p.B
+            - 3 * airy_root_a1() * i ** (1 / 3) / airy_scale(3)
             - ((7 * 3 - 6) / 6) * math.log(i)
         )
 
@@ -90,25 +77,19 @@ def test_h_product_ordering_k3():
 def test_bound_value_basics():
     p = BoundParams(2, eta=1.05 * min_eta(2), epsilon=0.1)
     # the ghost column j = -1 evaluates against Ai at its root
-    assert abs(bound_value("lower", p, 500, -1)) < 1e-12
-    # deep columns push the lower bracket negative (no clamping here)
-    assert bound_value("lower", p, 100, 80) < 0.0
-    assert bound_value("upper", p, 100, 3) > 0.0
-    with pytest.raises(ValueError, match="out-of-range"):
-        bound_value("lower", p, 0, 0)
-    with pytest.raises(ValueError, match="side"):
-        bound_value("sideways", p, 10, 0)
+    assert abs(x("lower", p, 500, -1)) < 1e-12
+    # deep columns push the lower bracket negative, which is clamped to zero
+    assert x("lower", p, 100, 80) == 0.0
+    assert x("upper", p, 100, 3) > 0.0
 
 
 def test_scan_matches_manual_cell():
-    # recompute one lower-side cell from public pieces: the scan inequality
-    # is s * max(X(i,j), 0) <= U(i,j) max(X(i-1,j-1), 0) + max(X(i-1,j+k-1), 0)
+    # recompute one lower-side cell from single witness values: the scan
+    # inequality is s X(i,j) <= U(i,j) X(i-1,j-1) + X(i-1,j+k-1), X clamped
     k, i, j = 3, 500, 3
     p = BoundParams(k, eta=1.05 * min_eta(k), epsilon=0.1)
-    lhs = s_factor("lower", k, i) * max(bound_value("lower", p, i, j), 0.0)
-    rhs = weight_u(k, i, j) * max(bound_value("lower", p, i - 1, j - 1), 0.0) + max(
-        bound_value("lower", p, i - 1, j + k - 1), 0.0
-    )
+    lhs = s_factor("lower", k, i) * x("lower", p, i, j)
+    rhs = weight_u(k, i, j) * x("lower", p, i - 1, j - 1) + x("lower", p, i - 1, j + k - 1)
     assert lhs <= rhs
     report = verify_bounds("lower", k, p.eta, p.epsilon, (2, 500))
     assert (i, j) not in report.violations

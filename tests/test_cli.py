@@ -607,6 +607,20 @@ def test_convert_invalid_path_exits_2(capsys, tmp_path):
         assert run(capsys, argv) == (2, "", err)
 
 
+def test_convert_non_integer_fields_exit_2(capsys, tmp_path):
+    # these used to be truncated to 1 and converted with exit 0
+    bad = tmp_path / "bad.json"
+    for direction, doc, err in (
+        ("path-to-tree", {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1.9}, {"type": "U"}]},
+         "error: path-format: not a valid path document\n"),
+        ("tree-to-path", {"k": 2, "sink": 1, "nodes": [{"label": 2, "children": [
+            {"type": "spine", "target": "1"}, {"type": "pointer", "target": 1}]}]},
+         "error: tree-format: not a valid tree document\n"),
+    ):
+        bad.write_text(json.dumps(doc))
+        assert run(capsys, ["convert", "--direction", direction, "--input", str(bad)]) == (2, "", err)
+
+
 def test_convert_unparseable_input_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{{{{")

@@ -48,6 +48,7 @@ COMMANDS = [
     _verify("p-ineq", 3, "--n-max", "3", "--format", "json"),
     _verify("p-ineq", 30, "--n-max", "3"),
     _verify("p-ineq", 2, "--n-max", "-4"),
+    _verify("p-ineq", 2, "--n-max", "0"),
     _verify("ratio", 2, "--n-max", "60"),
     _verify("ratio", 2, "--n-max", "60", "--format", "json"),
     _verify("ratio", 3, "--n-max", "10"),

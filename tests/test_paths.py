@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dagenum.paths import (
@@ -115,6 +117,11 @@ def test_loads_rejects_garbage():
         loads('{"k": 2, "steps": [{"type": "D"}]}')
     with pytest.raises(ValueError, match="path-format"):
         loads('{"k": 2, "steps": [{"type": "H"}]}')
+    # a cross that is not an integer is refused, not truncated to 1
+    for cross in (1.9, 1.0, True, "1"):
+        doc = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": cross}, {"type": "U"}]}
+        with pytest.raises(ValueError, match="path-format"):
+            loads(json.dumps(doc))
 
 
 def test_fixture_path_is_valid(fixtures_dir):

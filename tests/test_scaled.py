@@ -42,7 +42,7 @@ def test_scaled_rows_track_exact_rows():
     table = build_scaled_table(k, i_max, keep_rows=range(i_max + 1))
     exact = exact_rows(k, i_max)
     for i in range(i_max + 1):
-        row = table.row(i) * math.ldexp(1.0, table.scale_log2[i])
+        row = table.rows[i] * math.ldexp(1.0, table.scale_log2[i])
         want = np.array([float(v) for v in exact[i]])
         assert np.allclose(row, want, rtol=1e-12, atol=0.0)
 
@@ -51,18 +51,17 @@ def test_d_log_and_trace():
     k = 2
     table = build_scaled_table(k, 12, keep_rows=[12])
     exact = exact_rows(k, 12)
-    assert table.d_log(12, 0) == pytest.approx(math.log(float(exact[12][0])), rel=1e-12)
-    with pytest.raises(ValueError, match="row-not-retained"):
-        table.row(5)
-    with pytest.raises(ValueError, match="out-of-range"):
-        table.d_log(12, 1)  # wrong residue
+    # ln d[12][0], grouped as ratio_diagnostic's scaled route adds it
+    d_log = math.log(table.rows[12][0]) + table.scale_log2[12] * math.log(2.0)
+    assert d_log == pytest.approx(math.log(float(exact[12][0])), rel=1e-12)
+    assert sorted(table.rows) == [12]  # only the requested rows are kept
 
 
 def test_columns_layout():
     table = build_scaled_table(3, 8, keep_rows=[7, 8])
-    assert list(table.columns(7)) == [1, 4, 7]
-    assert list(table.columns(8)) == [2, 5, 8]
-    assert table.row(8).shape == (3,)
+    assert table.rows[7].shape == table.rows[8].shape == (3,)
+    # row 120 holds the columns j = 0, 3, 6, ...; the fit keeps j <= 120^(2/3 - 0.1)
+    assert [j for _, j, _, _ in profile_check(3, 120).rows] == [0, 3, 6, 9, 12, 15]
 
 
 def test_row_ceiling():

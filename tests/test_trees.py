@@ -1,4 +1,5 @@
 import hashlib
+import json
 import sys
 
 import pytest
@@ -171,6 +172,13 @@ def test_loads_rejects_garbage():
         loads('{"k": 2, "sink": 2, "nodes": []}')
     with pytest.raises(ValueError, match="tree-format"):
         loads('{"k": 2, "sink": 1, "nodes": [{"label": 2}]}')
+    # a label, target or arity that is not an integer is refused, not truncated
+    node = {"label": 2, "children": [{"type": "spine", "target": 1}, {"type": "pointer", "target": 1}]}
+    assert loads(json.dumps({"k": 2, "sink": 1, "nodes": [node]})).nodes[0].label == 2
+    for k, label, target in ((2, 2.7, 1), (2, "2", 1), (2, True, 1), (2, 2, "1"), (2, 2, 1.0), (2.0, 2, 1)):
+        node = {"label": label, "children": [{"type": "spine", "target": target}, {"type": "pointer", "target": 1}]}
+        with pytest.raises(ValueError, match="tree-format"):
+            loads(json.dumps({"k": k, "sink": 1, "nodes": [node]}))
 
 
 def test_fixture_tree_is_valid(fixtures_dir):

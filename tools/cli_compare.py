@@ -37,6 +37,12 @@ _PATH_DIAGONAL = {"k": 2, "steps": [{"type": "U"}, {"type": "U"}]}
 _PATH_CROSS = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 2}, {"type": "U"}]}
 # stops at (1, 0), short of the diagonal point (1, 1)
 _PATH_ENDPOINT = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1}]}
+# integer fields that are not integers: refused, not truncated to 1
+_PATH_FLOAT_CROSS = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1.9}, {"type": "U"}]}
+_TREE_STRING_TARGET = {
+    "k": 2, "sink": 1,
+    "nodes": [{"label": 2, "children": [{"type": "spine", "target": "1"}, {"type": "pointer", "target": 1}]}],
+}
 
 
 def inputs() -> dict[str, str]:
@@ -49,6 +55,8 @@ def inputs() -> dict[str, str]:
         "bad-path-diagonal.json": json.dumps(_PATH_DIAGONAL),
         "bad-path-cross.json": json.dumps(_PATH_CROSS),
         "bad-path-endpoint.json": json.dumps(_PATH_ENDPOINT),
+        "bad-path-float-cross.json": json.dumps(_PATH_FLOAT_CROSS),
+        "bad-tree-string-target.json": json.dumps(_TREE_STRING_TARGET),
         "garbage.json": "not json {",
         "corrupt/relaxed-k2.ctab": "ctab 2\nkind relaxed\nk 2\nn_max 3\nsha256 0\n1\n",
         # valid files in the decimal wedge ctab 1 and the cache's decimal
@@ -116,9 +124,10 @@ def commands() -> list[list[str]]:
     cmds.append(["verify", "--scope", "bounds-upper", "--k", "3", "--i-max", "200", "--eta", "inf"])
     cmds.append(["verify", "--scope", "nope", "--k", "2"])
     for direction, good, bad in (
-        ("tree-to-path", "tree.json", ("bad-tree-arity.json", "bad-tree-spine-tag.json")),
-        ("path-to-tree", "path.json",
-         ("bad-path-diagonal.json", "bad-path-cross.json", "bad-path-endpoint.json")),
+        ("tree-to-path", "tree.json",
+         ("bad-tree-arity.json", "bad-tree-spine-tag.json", "bad-tree-string-target.json")),
+        ("path-to-tree", "path.json", ("bad-path-diagonal.json", "bad-path-cross.json",
+                                       "bad-path-endpoint.json", "bad-path-float-cross.json")),
     ):
         cmds.append(["convert", "--direction", direction, "--input", good])
         cmds.append(["convert", "--direction", direction, "--input", good, "--output", f"out-{good}"])
