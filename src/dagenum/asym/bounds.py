@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tables import DEFAULT_BYTE_BUDGET
+from ..tables import _check_bytes
 from .airy import _airy_ai_vec
 # bench/layers.py and bench/spans.py look p_ratio_check up here
 from .exact import p_ratio_check, weight_u
@@ -268,10 +268,10 @@ def verify_bounds(
     p_exp = (2.0 / 3.0 - epsilon) if side == "lower" else (1.0 - epsilon)
     # widest row plus one block, before any array; min() keeps float(i) finite
     widest = _window(min(i_max, 2**1000), p_exp) + k + 3
-    if (widest + _BLOCK_POINTS) * _BYTES_PER_POINT > DEFAULT_BYTE_BUDGET:
-        raise ValueError(
-            f"byte-budget: projected sweep exceeds configured byte budget ({DEFAULT_BYTE_BUDGET})"
-        )
+    _check_bytes("sweep", (widest + _BLOCK_POINTS) * _BYTES_PER_POINT)
+    # the quartic forms eta * j^4 before it divides by i^2; j stays below widest
+    if side == "upper" and math.isinf(eta * float(widest) ** 4):
+        raise ValueError(f"eta-finite: {eta} * {widest}^4 overflows")
     violations = _scan_block(side, params, p_exp, _default_quartic, i_min, i_max)
     return BoundReport(
         side=side,

@@ -78,9 +78,14 @@ def _check_enumeration(what: str, count: int) -> None:
         )
 
 
+def _no_row(n_max: int) -> ValueError:
+    # rows start at n = 1: no rows to check is not a PASS
+    return ValueError(f"out-of-range: n_max={n_max} checks no row")
+
+
 def _rows_report(n_max: int, results: list[dict]) -> dict:
-    if not results:  # rows start at n = 1: no rows to check is not a PASS
-        raise ValueError(f"out-of-range: n_max={n_max} checks no row")
+    if not results:
+        raise _no_row(n_max)
     return {"n_max": n_max, "results": results, "ok": all(r["ok"] for r in results)}
 
 
@@ -203,7 +208,9 @@ def _verify_ratio(args) -> dict:
     from .asym.predict import ratio_diagnostic
 
     k, n_max = args.k, args.n_max
-    grid = [n for n in (50, 100, 200, 400, 600) if n <= n_max] or [max(1, n_max)]
+    if n_max < 1:
+        raise _no_row(n_max)
+    grid = [n for n in (50, 100, 200, 400, 600) if n <= n_max] or [n_max]
     exact_pts = ratio_diagnostic("relaxed", k, grid, route="exact")
     scaled_pts = ratio_diagnostic("relaxed", k, grid, route="scaled")
     results = [

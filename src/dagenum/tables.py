@@ -100,11 +100,14 @@ def _check_budget(kind: str, k: int, col_max: int, wedge: bool) -> None:
     total = 0
     for size in sizes:
         total += size
-        if total > DEFAULT_BYTE_BUDGET:
-            raise ValueError(
-                "byte-budget: projected table exceeds configured byte budget "
-                f"({DEFAULT_BYTE_BUDGET})"
-            )
+        _check_bytes("table", total)
+
+
+def _check_bytes(what: str, projected: int) -> None:
+    """Refuse a projected footprint over the byte budget; bounds.py's sweep
+    refuses through this too."""
+    if projected > DEFAULT_BYTE_BUDGET:
+        raise ValueError(f"byte-budget: projected {what} exceeds byte budget ({DEFAULT_BYTE_BUDGET})")
 
 
 def _columns(

@@ -534,6 +534,17 @@ def test_infinite_eta_exits_2(capsys, command):
     assert err == "error: eta-finite: inf is not finite\n"
 
 
+@pytest.mark.parametrize("command", [["verify", "--scope", "bounds-upper"], ["asym", "bounds", "--side", "upper"]])
+def test_overflowing_eta_exits_2(capsys, command):
+    # a finite eta whose eta * j**4 overflows to inf, as inf itself would
+    code, out, err = run(capsys, command + ["--k", "2", "--i-max", "50", "--eta", "1e308"])
+    assert (code, out) == (2, "")
+    assert err == "error: eta-finite: 1e+308 * 39^4 overflows\n"
+    # the same eta on the lower side, which has no quartic term, still sweeps
+    code, _, err = run(capsys, ["asym", "bounds", "--side", "lower", "--k", "2", "--i-max", "50", "--eta", "1e308"])
+    assert (code, err) == (0, "")
+
+
 def test_convert_round_trip_files(capsys, tmp_path, fixtures_dir):
     tree_file = fixtures_dir / "ternary7_tree.json"
     path_file = fixtures_dir / "ternary7_path.json"

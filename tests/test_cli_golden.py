@@ -53,6 +53,7 @@ COMMANDS = [
     _verify("ratio", 2, "--n-max", "60", "--format", "json"),
     _verify("ratio", 3, "--n-max", "10"),
     _verify("ratio", 2, "--n-max", "-5"),
+    _verify("ratio", 2, "--n-max", "0"),
     _verify("bounds-lower", 3, "--i-max", "60"),
     _verify("bounds-lower", 3, "--i-max", "60", "--format", "json"),
     _verify("bounds-upper", 2, "--i-max", "120", "--i0-limit", "1"),

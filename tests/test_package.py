@@ -1,6 +1,6 @@
-"""Package-wide guards: what each command imports, the lazily loaded
-package names, the names the benchmark looks up, and no `assert` statement
-in the package (`python -O` drops them)."""
+"""Package-wide guards: what each command imports, what importing the two
+packages imports, the names the benchmark looks up, and no `assert`
+statement in the package (`python -O` drops them)."""
 
 import ast
 import importlib
@@ -97,14 +97,22 @@ def test_asym_command_loads_numpy(run_python):
     assert _loaded_after(run_python, argvs) == ["numpy", "dagenum.asym"]
 
 
-def test_all_names_resolve():
-    for name in dagenum.__all__:
-        assert getattr(dagenum, name) is not None, name
-    namespace: dict = {}
-    exec("from dagenum import *", namespace)
-    assert set(dagenum.__all__) <= namespace.keys()
-    assert namespace["verify_bounds"] is dagenum.asym.verify_bounds
-    assert set(dagenum.__all__) <= set(dir(dagenum))
+# Forgets numpy, which site may have loaded, then imports both packages and
+# prints every dagenum submodule and numpy that got loaded.
+_IMPORT_PACKAGES = """
+import json, sys
+sys.modules.pop("numpy", None)
+import dagenum, dagenum.asym
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("dagenum."))))
+"""
+
+
+def test_packages_import_no_submodule(run_python):
+    """Names are imported from their modules: `import dagenum` and
+    `import dagenum.asym` load no other module of the package, and no numpy."""
+    proc = run_python("-c", _IMPORT_PACKAGES)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["dagenum.asym"]
 
 
 def test_bench_seams_resolve():

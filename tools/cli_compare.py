@@ -112,6 +112,7 @@ def commands() -> list[list[str]]:
     cmds.append(["verify", "--scope", "p-ineq", "--k", "2", "--n-max", "40"])  # over kn = 60
     for scope in ("transform", "p-ineq", "ratio", "bounds-lower", "bounds-upper"):
         cmds.append(["verify", "--scope", scope, "--k", "2", "--n-max", "-4", "--i-max", "20"])
+    cmds.append(["verify", "--scope", "ratio", "--k", "2", "--n-max", "0"])  # no row to check
     # k < 2 with the default --n-max, which divides by k for these two scopes
     for scope, k in (("transform", "0"), ("p-ineq", "0"), ("p-ineq", "-1")):
         cmds.append(["verify", "--scope", scope, "--k", k])
@@ -122,6 +123,10 @@ def commands() -> list[list[str]]:
         cmds.append(["verify", "--scope", f"bounds-{side}", "--k", "4", "--i-max", "60", "--eta", "2.5"])
     # inf * 0**4 is NaN: a vacuous PASS before eta had to be finite
     cmds.append(["verify", "--scope", "bounds-upper", "--k", "3", "--i-max", "200", "--eta", "inf"])
+    # a finite eta whose quartic eta * j**4 overflows
+    cmds.append(["asym", "bounds", "--side", "upper", "--k", "2", "--eta", "1e308", "--i-max", "50"])
+    # a sweep over the byte budget
+    cmds.append(["asym", "bounds", "--side", "upper", "--k", "2", "--i-max", "1000000000000"])
     cmds.append(["verify", "--scope", "nope", "--k", "2"])
     for direction, good, bad in (
         ("tree-to-path", "tree.json",
