@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tables import _check_bytes
+from ..tables import _check_arity, _check_bytes
 from .airy import _airy_ai_vec
 # bench/layers.py and bench/spans.py look p_ratio_check up here
 from .exact import p_ratio_check, weight_u
@@ -65,8 +65,7 @@ def _check_side(side: str) -> None:
 
 def min_eta(k: int) -> float:
     """Admissibility floor for the upper witness's quartic coefficient."""
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
+    _check_arity(k)
     return (k + 2) ** 2 / (72.0 * (k - 1) ** 2)
 
 
@@ -84,9 +83,7 @@ class BoundParams:
     epsilon: float
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"arity-k: {self.k}")
-        floor = min_eta(self.k)
+        floor = min_eta(self.k)  # refuses k < 2
         if not self.eta > floor:
             raise ValueError(f"eta-floor: {self.eta} is not above {floor}")
         if self.eta == math.inf:  # inf * 0**4 would make every cell NaN, none failing
@@ -152,8 +149,7 @@ def s_factor(side: str, k: int, i: int) -> float:
     """Per-column growth factor; the sign of the i^(-7/6) slack term is
     what separates the lower factor from the upper one."""
     _check_side(side)
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
+    _check_arity(k)
     if i < 1:
         raise ValueError(f"out-of-range: i={i} is below 1")
     tail = float(i) ** (-7.0 / 6.0)

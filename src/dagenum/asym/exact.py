@@ -38,17 +38,12 @@ from __future__ import annotations
 
 import operator
 
+from ..tables import _check_arity, _check_size
+
 
 def weight_u(k: int, i: int, j):
     """U(i, j) in floating point; j may be a numpy array of columns."""
     return (k - 1) ** 2 * (i - j + k) / ((k - 1) * i + j)
-
-
-def _check(k: int, i_max: int):
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
-    if i_max < 0:
-        raise ValueError(f"negative-size: {i_max}")
 
 
 def _parent_rows(prev, r: int, zero, join):
@@ -81,7 +76,7 @@ _EXACT_ROW_LIMIT = 64
 
 def exact_transform_diagonal(k: int, n_max: int) -> list[int]:
     """count(n) for n = 0..n_max recovered from the exact transform."""
-    _check(k, n_max)
+    _check_size(k, n_max)
     if k * n_max > _EXACT_ROW_LIMIT:
         raise ValueError(
             f"too-large: exact transform capped at {_EXACT_ROW_LIMIT} rows, "
@@ -190,8 +185,7 @@ def p_ratio_check(k: int, n: int) -> dict:
 
     Returns {"ok", "kn", "pairs_checked", "first_violation"}.
     """
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
+    _check_arity(k)
     if n < 1:
         raise ValueError(f"out-of-range: n={n}")
     kn = k * n

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from ..tables import _check_arity
+
 _LN2 = math.log(2.0)
 _EXACT_FACT_LIMIT = 10_000
 
@@ -66,8 +68,7 @@ def _log_int(x: int) -> float:
 
 
 def predictor_log(k: int, n: int) -> float:
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
+    _check_arity(k)
     if n < 1:
         raise ValueError(f"out-of-range: predictor needs n >= 1, got {n}")
     a1 = airy_root_a1()

@@ -19,9 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..tables import _check_size
 from .airy import _airy_ai_vec
 # bench/layers.py and bench/spans.py look exact_transform_diagonal up here
-from .exact import _check, _parent_rows, exact_transform_diagonal, weight_u
+from .exact import _parent_rows, exact_transform_diagonal, weight_u
 from .predict import profile_argument
 
 
@@ -38,7 +39,7 @@ _ROW_CEILING = 20000
 
 
 def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
-    _check(k, i_max)
+    _check_size(k, i_max)
     if i_max > _ROW_CEILING:
         raise ValueError(f"too-large: {i_max} rows exceed the ceiling {_ROW_CEILING}")
     keep = set(int(r) for r in keep_rows)
@@ -84,7 +85,7 @@ def profile_check(k: int, i: int, j_limit: int | None = None) -> ProfileResult:
     fitted value, so it is meaningful even where the Airy factor itself is
     small.
     """
-    _check(k, i)
+    _check_size(k, i)
     if i < 100:
         raise ValueError(f"out-of-range: profile needs i >= 100, got {i}")
     if j_limit is None:

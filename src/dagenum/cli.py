@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .tables import KINDS, MAX_COUNT_DIGITS, CacheError, cached_diagonal, diagonal_sequence
+from .tables import (
+    KINDS, MAX_COUNT_DIGITS, CacheError, _check_arity, cached_diagonal, diagonal_sequence)
 
 # Each handler imports the modules it runs when it runs: `count` needs none
 # of the tree, path and oracle modules, and only the airy, scaled and bounds
@@ -66,9 +67,9 @@ def cmd_count(args) -> int:
 
 
 def _tree_limit(k: int) -> int:
-    from .oracle import _tree_limit
+    from .paths import _tree_limit
 
-    return _tree_limit(k, None)
+    return _tree_limit(k)
 
 
 def _check_enumeration(what: str, count: int) -> None:
@@ -302,8 +303,7 @@ VERIFY_SCOPES = {
 def cmd_verify(args) -> int:
     default_n_max, run, render = VERIFY_SCOPES[args.scope]
     if args.n_max is None:
-        if args.k < 2:  # every runner refuses it, and two defaults divide by k
-            raise ValueError(f"arity-k: {args.k}")
+        _check_arity(args.k)  # every runner refuses it, and two defaults divide by k
         args.n_max = default_n_max(args.k)
     elif args.n_max < 0:  # every scope: no rows to check is not a PASS
         raise ValueError(f"negative-size: {args.n_max}")

@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Iterator
 
 from . import bijection, paths
-from .paths import _tree_limit
+from .paths import _check_exhaustive
 from .trees import Child, Node, POINTER, RelaxedTree, SPINE, is_compacted
 
 
@@ -26,13 +26,7 @@ def enumerate_relaxed(k: int, n: int, limit: int | None = None) -> Iterator[Rela
     possible while nothing is completed), or a spine edge to a fresh
     internal subtree.  Labels are assigned at completion time.
     """
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
-    if n < 0:
-        raise ValueError(f"negative-size: {n}")
-    limit = _tree_limit(k, limit)
-    if n > limit:
-        raise ValueError(f"too-large: n={n} exceeds exhaustive limit {limit}")
+    _check_exhaustive(k, n, limit)
     if n == 0:
         yield RelaxedTree(k, ())
         return

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
+from .tables import _check_size
 from .trees import Child, Node, POINTER, SPINE, _int
 
 
@@ -115,10 +116,17 @@ DEFAULT_TREE_LIMITS = {2: 6, 3: 4, 4: 3}
 FALLBACK_TREE_LIMIT = 2
 
 
-def _tree_limit(k: int, limit: int | None) -> int:
-    if limit is not None:
-        return limit
+def _tree_limit(k: int) -> int:
     return DEFAULT_TREE_LIMITS.get(k, FALLBACK_TREE_LIMIT)
+
+
+def _check_exhaustive(k: int, n: int, limit: int | None) -> None:
+    """Refuse what _check_size refuses, then a size over limit, which
+    defaults to the arity's exhaustive cap."""
+    _check_size(k, n)
+    limit = _tree_limit(k) if limit is None else limit
+    if n > limit:
+        raise ValueError(f"too-large: n={n} exceeds exhaustive limit {limit}")
 
 
 def generate_paths(k: int, n: int, limit: int | None = None) -> Iterator[DecoratedPath]:
@@ -128,13 +136,7 @@ def generate_paths(k: int, n: int, limit: int | None = None) -> Iterator[Decorat
     be completed (append remaining H steps, then U steps), so the recursion
     never explores dead branches.
     """
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
-    if n < 0:
-        raise ValueError(f"negative-size: {n}")
-    limit = _tree_limit(k, limit)
-    if n > limit:
-        raise ValueError(f"too-large: n={n} exceeds exhaustive limit {limit}")
+    _check_exhaustive(k, n, limit)
     total_u = n + 1
     total_h = (k - 1) * n
     steps: list[Step] = []

@@ -70,10 +70,7 @@ def _wedge_size(k: int, n_max: int) -> int:
 def _check_args(kind: str, k: int, n_max: int):
     if kind not in KINDS:
         raise ValueError(f"unknown-kind: {kind}")
-    if k < 2:
-        raise ValueError(f"arity-k: {k}")
-    if n_max < 0:
-        raise ValueError(f"negative-size: {n_max}")
+    _check_size(k, n_max)
 
 
 def _check_budget(kind: str, k: int, col_max: int, wedge: bool) -> None:
@@ -108,6 +105,21 @@ def _check_bytes(what: str, projected: int) -> None:
     refuses through this too."""
     if projected > DEFAULT_BYTE_BUDGET:
         raise ValueError(f"byte-budget: projected {what} exceeds byte budget ({DEFAULT_BYTE_BUDGET})")
+
+
+def _check_arity(k: int) -> None:
+    """Refuse an arity below 2, which every recurrence and every route
+    built on them (the transform, the witnesses, the oracles) needs."""
+    if k < 2:
+        raise ValueError(f"arity-k: {k}")
+
+
+def _check_size(k: int, n: int) -> None:
+    """Refuse a bad arity, then a negative size n (a diagonal index, a row
+    index or a tree size)."""
+    _check_arity(k)
+    if n < 0:
+        raise ValueError(f"negative-size: {n}")
 
 
 def _columns(

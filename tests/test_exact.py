@@ -87,3 +87,19 @@ def test_non_integral_transform_value_raises(monkeypatch):
     monkeypatch.setattr(exact, "_integer_rows", lambda k, i_max: ([r[0] + 1, *r[1:]] for r in rows(k, i_max)))
     with pytest.raises(AssertionError, match="non-integral transform value at n=1"):
         exact_transform_diagonal(2, 3)
+
+
+@pytest.mark.parametrize(
+    "k,n,pairs", [(2, 400, 5_433_901), (3, 300, 6_060_401), (4, 200, 3_027_751), (5, 150, 1_815_926)]
+)
+def test_suffix_walk_families_hold_far_above_the_cli_cap(monkeypatch, k, n, pairs):
+    # A measurement pinned, not a theorem: numerical evidence for the
+    # paper's monotonicity lemma at kn = 750 to 900, where `verify --scope
+    # p-ineq` stops at kn = 60.  The cap is raised for this test only.  A
+    # slip in a suffix count past row 60 breaks P[0][0] = D[kn][0] (the
+    # suffix/forward mismatch) or shows up as a violation.
+    from dagenum.asym import exact
+
+    monkeypatch.setattr(exact, "P_INEQ_KN_LIMIT", k * n)
+    report = p_ratio_check(k, n)
+    assert (report["ok"], report["pairs_checked"], report["first_violation"]) == (True, pairs, None)

@@ -1,7 +1,9 @@
 """Package-wide guards: what each command imports, what importing the two
-packages imports, the names the benchmark looks up, and no `assert`
-statement in the package (`python -O` drops them)."""
+packages imports, the names the benchmark looks up, the arity and size
+refusals every entry point shares, and no `assert` statement in the package
+(`python -O` drops them)."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -9,7 +11,17 @@ import json
 import pathlib
 import re
 
+import pytest
+
 import dagenum
+from dagenum.asym.bounds import BoundParams, min_eta, s_factor
+from dagenum.asym.exact import exact_transform_diagonal, p_ratio_check
+from dagenum.asym.predict import predictor_log
+from dagenum.asym.scaled import build_scaled_table, profile_check
+from dagenum.cli import cmd_verify
+from dagenum.oracle import enumerate_relaxed
+from dagenum.paths import generate_paths
+from dagenum.tables import build_table, diagonal_sequence
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -155,3 +167,42 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], "use an explicit raise, which survives python -O"
+
+
+def _verify(k, n_max):
+    return cmd_verify(argparse.Namespace(scope="transform", k=k, n_max=n_max, format="text"))
+
+
+# name -> (call(k, n), whether n is a size the call refuses below 0) for
+# every entry point that needs arity k >= 2.  The others take no size, or
+# refuse small ones with their own out-of-range.  Each refusal is raised by
+# tables._check_arity or tables._check_size.
+_GUARDED = {
+    "diagonal_sequence": (lambda k, n: diagonal_sequence("relaxed", k, n), True),
+    "build_table": (lambda k, n: build_table("dfa", k, n), True),
+    "exact_transform_diagonal": (exact_transform_diagonal, True),
+    "p_ratio_check": (lambda k, n: p_ratio_check(k, 2), False),
+    "build_scaled_table": (build_scaled_table, True),
+    "profile_check": (profile_check, True),
+    "generate_paths": (generate_paths, True),
+    "enumerate_relaxed": (lambda k, n: next(enumerate_relaxed(k, n)), True),
+    "min_eta": (lambda k, n: min_eta(k), False),
+    "BoundParams": (lambda k, n: BoundParams(k, 1.0, 0.1), False),
+    "s_factor": (lambda k, n: s_factor("upper", k, 5), False),
+    "predictor_log": (lambda k, n: predictor_log(k, 5), False),
+    "cmd_verify": (_verify, True),
+}
+# The arity is refused before the size is read, so the arity cases pass
+# n = None, which cmd_verify reads as "the default --n-max".
+_REFUSALS = [(name, 1, None, "arity-k: 1") for name in _GUARDED] + [
+    (name, 2, -1, "negative-size: -1") for name, (_, sized) in _GUARDED.items() if sized
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,n,message", _REFUSALS, ids=[f"{case[0]}-{case[3].split(':')[0]}" for case in _REFUSALS]
+)
+def test_arity_and_size_refusals(name, k, n, message):
+    with pytest.raises(ValueError) as err:
+        _GUARDED[name][0](k, n)
+    assert str(err.value) == message

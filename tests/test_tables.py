@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import math
 import sys
@@ -22,6 +23,8 @@ from dagenum.tables import (
 )
 
 from known_values import KNOWN_COUNTS, known_row
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.mark.parametrize("kind,k", sorted(KNOWN_COUNTS))
@@ -460,3 +463,24 @@ def test_recurrences_hold_pointwise(point):
     assert read(b, n, m) == (
         2 * read(b, n, m - 1) + (m + 1) * read(b, n - 1, m) - m * sub(b, n - 3, m - 1)
     )
+
+
+@pytest.fixture(scope="module")
+def bench_checks():
+    """bench/checks.py, whose diagonal_mod writes the three recurrences out
+    literally over a dict, modulo the prime 2^61 - 1, with the boundary
+    extension to negative n spelled out: a reference that shares no code
+    with tables.py."""
+    spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k,n_max", [(2, 300), (3, 150), (4, 100), (5, 75)])
+def test_diagonals_match_the_reference_dp_above_the_pinned_sizes(bench_checks, kind, k, n_max):
+    # known_values pins far smaller sizes; an off-by-one in one cell past
+    # them (the compacted k = 2 cell (250, 100), say) fails here
+    got = [c % bench_checks.PRIME for c in diagonal_sequence(kind, k, n_max)]
+    assert got == list(bench_checks.diagonal_mod(kind, k, n_max))

@@ -149,8 +149,18 @@ def commands() -> list[list[str]]:
         cmds.append(["asym", "bounds", "--side", side, "--k", "2", "--i-min", "50", "--i-max", "40"])
     for k in ("2", "5"):  # rows reaching x > 30 and the Airy zero cut-off at 115
         cmds.append(["asym", "bounds", "--side", "upper", "--k", k, "--i-min", "9800", "--i-max", "10000"])
+    cmds.append(["asym", "ratio", "--k", "2", "--ns", "700"])  # auto switches to the scaled table
     cmds.append(["asym", "profile", "--k", "2", "--i", "60"])
     cmds.append(["asym", "profile", "--k", "3", "--i", "40", "--j-limit", "5"])
+    cmds.append(["asym", "profile", "--k", "2", "--i", "150"])
+    cmds.append(["asym", "profile", "--k", "3", "--i", "120", "--j-limit", "9"])
+    # the shared arity and size refusals, reached through each route
+    for scope in ("transform", "p-ineq", "oracle", "bijection", "ratio"):
+        cmds.append(["verify", "--scope", scope, "--k", "1", "--n-max", "2"])
+    cmds.append(["asym", "profile", "--k", "1", "--i", "100"])
+    cmds.append(["asym", "profile", "--k", "2", "--i", "-5"])
+    cmds.append(["asym", "ratio", "--k", "1", "--ns", "5", "--route", "scaled"])
+    cmds.append(["asym", "bounds", "--side", "upper", "--k", "1", "--eta", "1.0"])
     return cmds
 
 
