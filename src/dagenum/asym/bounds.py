@@ -163,30 +163,6 @@ def s_factor(side: str, k: int, i: int) -> float:
     )
 
 
-@dataclass
-class BoundReport:
-    """Outcome of one exhaustive inequality scan."""
-
-    side: str
-    params: BoundParams
-    i_min: int
-    i_max: int
-    violations: list[tuple[int, int]]
-    first_verified_i0: int
-
-    def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "k": self.params.k,
-            "eta": self.params.eta,
-            "epsilon": self.params.epsilon,
-            "i_min": self.i_min,
-            "i_max": self.i_max,
-            "first_verified_i0": self.first_verified_i0,
-            "violations": [list(v) for v in self.violations],
-        }
-
-
 def _window(i: int, p_exp: float) -> int:
     """Number of window columns at index i; j then ranges over [0, count)."""
     return math.ceil(float(i) ** p_exp)
@@ -247,12 +223,14 @@ def verify_bounds(
     eta: float,
     epsilon: float,
     i_range: tuple[int, int],
-) -> BoundReport:
+) -> dict:
     """Exhaustively check one witness inequality on a finite index range.
 
     Scans every cell (i, j) with i_range[0] <= i <= i_range[1] and j inside
-    the side's window.  Violations are reported as data, never raised.  The
-    report's first_verified_i0 is the least index beyond which the scanned
+    the side's window.  Violations are reported as data, never raised: the
+    report is the JSON-ready dict of side, k, eta, epsilon, i_min, i_max,
+    first_verified_i0 and the violating cells as [i, j] lists, in scan
+    order.  first_verified_i0 is the least index beyond which the scanned
     range is violation-free (i_min when the whole range is clean); nothing
     is claimed about indices outside the range.
     """
@@ -269,11 +247,13 @@ def verify_bounds(
     if side == "upper" and math.isinf(eta * float(widest) ** 4):
         raise ValueError(f"eta-finite: {eta} * {widest}^4 overflows")
     violations = _scan_block(side, params, p_exp, _default_quartic, i_min, i_max)
-    return BoundReport(
-        side=side,
-        params=params,
-        i_min=i_min,
-        i_max=i_max,
-        violations=violations,
-        first_verified_i0=violations[-1][0] + 1 if violations else i_min,
-    )
+    return {
+        "side": side,
+        "k": k,
+        "eta": eta,
+        "epsilon": epsilon,
+        "i_min": i_min,
+        "i_max": i_max,
+        "first_verified_i0": violations[-1][0] + 1 if violations else i_min,
+        "violations": [list(v) for v in violations],
+    }

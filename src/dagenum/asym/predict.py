@@ -82,13 +82,8 @@ def predictor_log(k: int, n: int) -> float:
 
 class RatioPoint(NamedTuple):
     n: int
-    log_count: float
-    predictor: float
-    route: str = "exact"
-
-    @property
-    def log_ratio(self) -> float:
-        return self.log_count - self.predictor
+    log_ratio: float  # ln count(n) - predictor_log(k, n)
+    route: str
 
 
 _EXACT_ROUTE_LIMIT = 600
@@ -130,7 +125,7 @@ def ratio_diagnostic(
 
         seq = diagonal_sequence(kind, k, exact_ns[-1])
         for n in exact_ns:
-            points[n] = RatioPoint(n, _log_int(seq[n]), predictor_log(k, n))
+            points[n] = RatioPoint(n, _log_int(seq[n]) - predictor_log(k, n), "exact")
     if scaled_ns:
         from .scaled import build_scaled_table
 
@@ -144,5 +139,5 @@ def ratio_diagnostic(
                 - 2.0 * (k - 1) * n * ln_km1
                 + (math.log(table.rows[k * n][0]) + table.scale_log2[k * n] * _LN2)
             )
-            points[n] = RatioPoint(n, log_count, predictor_log(k, n), "scaled")
+            points[n] = RatioPoint(n, log_count - predictor_log(k, n), "scaled")
     return [points[n] for n in ns]

@@ -14,7 +14,6 @@ fitting a single scale factor by least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,23 +66,13 @@ def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
     return ScaledTable(scale_log2, rows)
 
 
-@dataclass
-class ProfileResult:
-    k: int
-    i: int
-    rows: list[tuple[int, int, float, float]]  # (i, j, d_scaled, airy_fit)
-    best_scale: float
-    sup_deviation: float
-
-
-def profile_check(k: int, i: int, j_limit: int | None = None) -> ProfileResult:
+def profile_check(k: int, i: int, j_limit: int | None = None) -> list[tuple]:
     """Fit row i of the scaled table to the Airy shape.
 
-    The default window keeps j <= i^(2/3 - 0.1), inside which the scaled
-    column is expected to track the Airy profile.  Deviation is the sup of
-    |d_scaled - fit| over the window, normalized by the window's peak
-    fitted value, so it is meaningful even where the Airy factor itself is
-    small.
+    Returns one (i, j, d_scaled, airy_fit) row per admissible column j in
+    the window, airy_fit being the least-squares multiple of the Airy
+    shape.  The default window keeps j <= i^(2/3 - 0.1), inside which the
+    scaled column is expected to track the Airy profile.
     """
     _check_size(k, i)
     if i < 100:
@@ -98,10 +87,5 @@ def profile_check(k: int, i: int, j_limit: int | None = None) -> ProfileResult:
     js = js[sel]
     values = values[sel]
     shape = _airy_ai_vec(profile_argument(k, i, js))
-    best_scale = float(np.dot(values, shape) / np.dot(shape, shape))
-    fit = best_scale * shape
-    sup_deviation = float(np.max(np.abs(values - fit)) / np.max(np.abs(fit)))
-    rows = [
-        (i, int(j), float(v), float(f)) for j, v, f in zip(js, values, fit)
-    ]
-    return ProfileResult(k, i, rows, best_scale, sup_deviation)
+    fit = float(np.dot(values, shape) / np.dot(shape, shape)) * shape
+    return [(i, int(j), float(v), float(f)) for j, v, f in zip(js, values, fit)]

@@ -264,14 +264,13 @@ def _sweep(args, side: str):
 
 
 def _verify_bounds(args) -> dict:
-    report = _sweep(args, args.scope.removeprefix("bounds-"))
+    doc = _sweep(args, args.scope.removeprefix("bounds-"))
     i0_limit = args.i0_limit if args.i0_limit is not None else args.i_max
-    doc = report.to_dict()
     doc.update(
-        violation_count=len(report.violations),
+        violation_count=len(doc["violations"]),
         violations=doc["violations"][:10],
         i0_limit=i0_limit,
-        ok=report.first_verified_i0 <= i0_limit,
+        ok=doc["first_verified_i0"] <= i0_limit,
     )
     return doc
 
@@ -324,7 +323,7 @@ def cmd_convert(args) -> int:
     # direction -> (parse, map, serialize, the invalid-input lines of a parsed input)
     loads, convert, dumps, errors = {
         "tree-to-path": (trees.loads, tree_to_path, paths.dumps, lambda t: [
-            f"invalid tree: {v.code} at {list(v.labels)}" for v in trees.validate_tree(t).violations
+            f"invalid tree: {v.code} at {list(v.labels)}" for v in trees.validate_tree(t)
         ]),
         "path-to-tree": (paths.loads, path_to_tree, trees.dumps, lambda p: [
             "invalid path: {0.code} at step {0.index}".format(paths.validate_path(p))
@@ -359,7 +358,7 @@ def cmd_asym_ratio(args) -> int:
 
 
 def cmd_asym_bounds(args) -> int:
-    doc = _sweep(args, args.side).to_dict()
+    doc = _sweep(args, args.side)
     row = [doc[key] for key in ("side", "k", "eta", "epsilon", "first_verified_i0", "i_max")]
     header = ["side", "k", "eta", "epsilon", "i0", "scanned_i_max", "violations"]
     return _write_csv(header, [row + [len(doc["violations"])]])
@@ -368,8 +367,8 @@ def cmd_asym_bounds(args) -> int:
 def cmd_asym_profile(args) -> int:
     from .asym.scaled import profile_check
 
-    result = profile_check(args.k, args.i, j_limit=args.j_limit)
-    return _write_csv(["i", "j", "d_scaled", "airy_fit"], result.rows)
+    rows = profile_check(args.k, args.i, j_limit=args.j_limit)
+    return _write_csv(["i", "j", "d_scaled", "airy_fit"], rows)
 
 
 def _add_sweep_flags(p, eta_help: str, i_max: int, i0_limit: bool = False) -> None:

@@ -197,6 +197,6 @@ def dumps(p: DecoratedPath) -> str:
 def loads(text: str) -> DecoratedPath:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # nested past the parser's depth
         raise ValueError("path-format: not valid JSON") from None
     return from_document(doc)

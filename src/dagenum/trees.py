@@ -11,7 +11,7 @@ always target a node whose postorder traversal is already complete.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -50,22 +50,16 @@ class Violation(NamedTuple):
     labels: tuple[int, ...]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[Violation] = field(default_factory=list)
-
-
-def validate_tree(t: RelaxedTree) -> ValidationReport:
-    """Check every relaxed-tree invariant; violations are data, not errors.
+def validate_tree(t: RelaxedTree) -> list[Violation]:
+    """Check every relaxed-tree invariant; violations are data, not errors,
+    and the tree is valid exactly when the list is empty.
 
     Structural problems (bad arity, bad labels, dangling targets) are
     reported first; traversal-based checks (spine = DFS spanning tree,
     pointer acyclicity, postorder labelling, unique source) run only when
     the structure is sound enough to traverse.
     """
-    violations, _ = _walk(t)
-    return ValidationReport(not violations, violations)
+    return _walk(t)[0]
 
 
 def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int] | None]:
@@ -243,6 +237,6 @@ def dumps(t: RelaxedTree) -> str:
 def loads(text: str) -> RelaxedTree:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # nested past the parser's depth
         raise ValueError("tree-format: not valid JSON") from None
     return from_document(doc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from dagenum.paths import DecoratedPath, Step, horiz, up
-from dagenum.tables import build_table
+from dagenum.tables import _columns
 
 
 class PathSampler:
@@ -23,7 +23,7 @@ class PathSampler:
 
     def __init__(self, k: int, n: int):
         self.k, self.n = k, n
-        self.columns = build_table("relaxed", k, (k - 1) * n).columns
+        self.columns = list(_columns("relaxed", k, 0, (k - 1) * n, []))
 
     def count(self, x: int, y: int) -> int:
         """r[x][y], zero outside the wedge 0 <= (k-1)y <= x."""

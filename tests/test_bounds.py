@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dagenum.asym import bounds
-from dagenum.asym.bounds import BoundParams, min_eta, p_ratio_check, s_factor, verify_bounds
-from dagenum.asym.exact import weight_u
+from dagenum.asym.bounds import BoundParams, min_eta, s_factor, verify_bounds
+from dagenum.asym.exact import p_ratio_check, weight_u
 from dagenum.asym.predict import airy_root_a1, airy_scale
 from dagenum.tables import DEFAULT_BYTE_BUDGET
 
@@ -92,20 +92,18 @@ def test_scan_matches_manual_cell():
     rhs = weight_u(k, i, j) * x("lower", p, i - 1, j - 1) + x("lower", p, i - 1, j + k - 1)
     assert lhs <= rhs
     report = verify_bounds("lower", k, p.eta, p.epsilon, (2, 500))
-    assert (i, j) not in report.violations
+    assert [i, j] not in report["violations"]
 
 
 def test_verify_bounds_reports():
     eta = 1.05 * min_eta(3)
     report = verify_bounds("lower", 3, eta, 0.1, (2, 600))
-    assert report.side == "lower"
-    assert report.i_min == 2 and report.i_max == 600
-    assert report.first_verified_i0 == 8
-    assert all(i < 8 for i, _ in report.violations)
-    doc = report.to_dict()
-    assert doc["first_verified_i0"] == 8
-    assert doc["k"] == 3 and doc["side"] == "lower"
-    assert doc["violations"] == [list(v) for v in report.violations]
+    violations = report.pop("violations")
+    assert report == {
+        "side": "lower", "k": 3, "eta": eta, "epsilon": 0.1,
+        "i_min": 2, "i_max": 600, "first_verified_i0": 8,
+    }
+    assert violations and all(type(v) is list and v[0] < 8 for v in violations)
 
 
 def test_verify_bounds_starts_no_threads(monkeypatch):
@@ -114,7 +112,7 @@ def test_verify_bounds_starts_no_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     report = verify_bounds("lower", 3, 1.05 * min_eta(3), 0.1, (2, 40))
-    assert report.first_verified_i0 == 8
+    assert report["first_verified_i0"] == 8
 
 
 @pytest.mark.parametrize("side,k", [("upper", 2), ("lower", 5)])
@@ -123,7 +121,7 @@ def test_verify_bounds_block_invariance(monkeypatch, side, k):
     batched = verify_bounds(side, k, eta, 0.1, (2, 600))
     monkeypatch.setattr(bounds, "_BLOCK_POINTS", 1)  # one row per Airy call
     per_row = verify_bounds(side, k, eta, 0.1, (2, 600))
-    assert batched.to_dict() == per_row.to_dict()
+    assert batched == per_row
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -131,9 +129,9 @@ def test_verify_bounds_split_range(side):
     # a cell's verdict reads rows i-1 and i only, so where a range (and
     # with it every block) starts cannot change it
     eta = 1.05 * min_eta(5)
-    whole = verify_bounds(side, 5, eta, 0.1, (2, 400)).violations
-    head = verify_bounds(side, 5, eta, 0.1, (2, 200)).violations
-    tail = verify_bounds(side, 5, eta, 0.1, (201, 400)).violations
+    whole = verify_bounds(side, 5, eta, 0.1, (2, 400))["violations"]
+    head = verify_bounds(side, 5, eta, 0.1, (2, 200))["violations"]
+    tail = verify_bounds(side, 5, eta, 0.1, (201, 400))["violations"]
     assert any(i > 200 for i, _ in whole)
     assert whole == head + tail
 
@@ -144,12 +142,10 @@ def test_sweeps_match_fixture_prefix(fixtures_dir):
     for k in (2, 3, 4, 5):
         for side in ("lower", "upper"):
             report = verify_bounds(side, k, 1.05 * min_eta(k), 0.1, (2, 1000))
-            expected = [
-                tuple(v) for v in archived[f"{side}-k{k}"]["violations"] if v[0] <= 1000
-            ]
-            assert report.violations == expected, f"{side}-k{k}"
+            expected = [v for v in archived[f"{side}-k{k}"]["violations"] if v[0] <= 1000]
+            assert report["violations"] == expected, f"{side}-k{k}"
             i0 = expected[-1][0] + 1 if expected else 2
-            assert report.first_verified_i0 == i0, f"{side}-k{k}"
+            assert report["first_verified_i0"] == i0, f"{side}-k{k}"
 
 
 def test_sweep_airy_calls_bounded(monkeypatch):

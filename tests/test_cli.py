@@ -7,7 +7,7 @@ import time
 import pytest
 
 from dagenum.cli import CACHE_ENV, main
-from dagenum.tables import build_table, cached_diagonal, save_table
+from dagenum.tables import cached_diagonal
 
 
 def run(capsys, argv):
@@ -153,10 +153,7 @@ def _check_older_cache_is_rebuilt(capsys, tmp_path, fixtures_dir, cache_writes, 
     cache = tmp_path / layout
     cache.mkdir()
     path = cache / "dfa-k3.ctab"
-    if layout == "ctab5":
-        save_table(build_table("dfa", 3, 6), path)
-    else:
-        path.write_bytes((fixtures_dir / f"dfa_k3_{layout}.ctab").read_bytes())
+    path.write_bytes((fixtures_dir / f"dfa_k3_{layout}.ctab").read_bytes())
     cache_writes.clear()
     expected = run(capsys, _count("dfa", 3, 2, "--format", "json"))
     assert expected[0] == 0
@@ -638,6 +635,20 @@ def test_convert_unparseable_input_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["convert", "--direction", "path-to-tree", "--input", str(bad)])
     assert code == 2
     assert err.startswith("error: path-format")
+
+
+@pytest.mark.parametrize(
+    "direction,head",
+    [("tree-to-path", '{"k": 2, "sink": 1, "nodes": '), ("path-to-tree", '{"k": 2, "steps": ')],
+)
+def test_convert_deeply_nested_input_exits_2(capsys, tmp_path, direction, head):
+    # nested past the JSON parser's depth limit, which raises RecursionError:
+    # an input error, not a traceback and the verification-failure code
+    deep = tmp_path / "deep.json"
+    deep.write_text(head + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, ["convert", "--direction", direction, "--input", str(deep)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {direction.split('-')[0]}-format: not valid JSON\n"
 
 
 def test_convert_missing_file_exits_2(capsys, tmp_path):

@@ -4,12 +4,12 @@ import math
 import pytest
 
 from dagenum.asym.predict import (
-    RatioPoint,
     _log_int,
     log_factorial,
     predictor_log,
     ratio_diagnostic,
 )
+from dagenum.tables import diagonal_sequence
 
 
 def test_log_factorial_small():
@@ -46,10 +46,11 @@ def test_predictor_dominant_term():
         assert predictor_log(k, n) == pytest.approx(lead, rel=0.25)
 
 
-def test_ratio_point_property():
-    pt = RatioPoint(4, 10.0, 7.5)
-    assert pt.log_ratio == 2.5
-    assert pt.route == "exact"
+def test_ratio_point_holds_log_ratio():
+    # log_ratio is ln count(n) - predictor, to the bit, on the exact route
+    (pt,) = ratio_diagnostic("relaxed", 2, [40])
+    count = diagonal_sequence("relaxed", 2, 40)[40]
+    assert pt == (40, _log_int(count) - predictor_log(2, 40), "exact")
 
 
 def test_ratio_route_selection():
@@ -177,8 +178,6 @@ _SHARE_GAMMA_BOUND = 0.01
 @functools.cache
 def _share_fits(k: int) -> dict:
     import numpy as np
-
-    from dagenum.tables import diagonal_sequence
 
     ns = []
     while round(32 * 2 ** (len(ns) / 4)) <= (400 if k == 4 else 600):

@@ -30,59 +30,52 @@ def one_node_tree(k):
 
 
 def test_empty_tree_is_valid():
-    report = validate_tree(RelaxedTree(2, ()))
-    assert report.ok
-    assert report.violations == []
+    assert validate_tree(RelaxedTree(2, ())) == []
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_smallest_tree_is_valid(k):
     t = one_node_tree(k)
     assert t.n == 1
-    assert validate_tree(t).ok
+    assert not validate_tree(t)
 
 
 def test_bad_arity_k():
-    report = validate_tree(RelaxedTree(1, ()))
-    assert not report.ok
-    assert report.violations[0].code == "arity-k"
+    violations = validate_tree(RelaxedTree(1, ()))
+    assert violations[0].code == "arity-k"
 
 
 def test_wrong_child_count():
     t = RelaxedTree(3, (Node(2, (S(1), P(1))),))
-    report = validate_tree(t)
-    assert not report.ok
-    assert report.violations[0].code == "arity"
+    violations = validate_tree(t)
+    assert violations[0].code == "arity"
 
 
 def test_label_range_and_duplicates():
     t = RelaxedTree(2, (Node(2, (S(1), P(1))), Node(2, (P(1), P(1)))))
-    codes = {v.code for v in validate_tree(t).violations}
+    codes = {v.code for v in validate_tree(t)}
     assert "label-duplicate" in codes
     assert "label-range" in codes
 
 
 def test_dangling_target():
     t = RelaxedTree(2, (Node(2, (S(1), P(9))),))
-    report = validate_tree(t)
-    assert not report.ok
-    assert ("dangling-target", (2, 9)) in report.violations
+    violations = validate_tree(t)
+    assert ("dangling-target", (2, 9)) in violations
 
 
 def test_pointer_to_open_ancestor():
     # node 3's second slot points at itself: visited but not completed
     t = RelaxedTree(2, (Node(2, (S(1), P(1))), Node(3, (S(2), P(3)))))
-    report = validate_tree(t)
-    assert not report.ok
-    assert report.violations[0].code == "pointer-order"
+    violations = validate_tree(t)
+    assert violations[0].code == "pointer-order"
 
 
 def test_spine_tag_mismatch():
     # second edge to the sink claims to be spine but the sink is already visited
     t = RelaxedTree(2, (Node(2, (S(1), S(1))),))
-    report = validate_tree(t)
-    assert not report.ok
-    assert report.violations[0].code == "spine-tag"
+    violations = validate_tree(t)
+    assert violations[0].code == "spine-tag"
 
 
 def test_postorder_labels_enforced():
@@ -95,9 +88,8 @@ def test_postorder_labels_enforced():
             Node(4, (S(3), S(2))),
         ),
     )
-    report = validate_tree(t)
-    assert not report.ok
-    assert "postorder" in {v.code for v in report.violations}
+    violations = validate_tree(t)
+    assert "postorder" in {v.code for v in violations}
 
 
 def test_unreachable_nodes():
@@ -110,9 +102,8 @@ def test_unreachable_nodes():
         ),
     )
     # node 3 is never the target of any edge
-    report = validate_tree(t)
-    assert not report.ok
-    codes = {v.code for v in report.violations}
+    violations = validate_tree(t)
+    codes = {v.code for v in violations}
     assert "unreachable" in codes or "unique-source" in codes
 
 
@@ -129,11 +120,11 @@ def _valid_pair_tree(second_children):
 
 def test_is_compacted_detects_duplicate_fringe():
     dup = _valid_pair_tree((P(1), P(1)))
-    assert validate_tree(dup).ok
+    assert not validate_tree(dup)
     assert not is_compacted(dup)
 
     ok = _valid_pair_tree((P(1), P(2)))
-    assert validate_tree(ok).ok
+    assert not validate_tree(ok)
     assert is_compacted(ok)
 
 
@@ -184,7 +175,7 @@ def test_loads_rejects_garbage():
 def test_fixture_tree_is_valid(fixtures_dir):
     t = loads((fixtures_dir / "ternary7_tree.json").read_text())
     assert t.k == 3 and t.n == 7
-    assert validate_tree(t).ok
+    assert not validate_tree(t)
     # nodes 4 and 5 share the child targets (1, 2, 3) and node 5 is a
     # cherry, so this relaxed tree is not a compacted one
     assert not is_compacted(t)
@@ -270,9 +261,7 @@ def test_malformed_table_covers_every_code():
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_tree_report_is_frozen(name):
     t, expected = MALFORMED[name]
-    report = validate_tree(t)
-    assert report.violations == expected
-    assert not report.ok
+    assert validate_tree(t) == expected
     with pytest.raises(ValueError, match=f"^invalid-tree: {expected[0].code}$"):
         tree_to_path(t)
 

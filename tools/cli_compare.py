@@ -45,7 +45,7 @@ _TREE_STRING_TARGET = {
 }
 
 
-def inputs() -> dict[str, str]:
+def inputs() -> dict[str, str | bytes]:
     """name -> contents, written into each side's working directory."""
     return {
         "tree.json": (FIXTURES / "ternary7_tree.json").read_text(),
@@ -58,11 +58,15 @@ def inputs() -> dict[str, str]:
         "bad-path-float-cross.json": json.dumps(_PATH_FLOAT_CROSS),
         "bad-tree-string-target.json": json.dumps(_TREE_STRING_TARGET),
         "garbage.json": "not json {",
+        # nested past the JSON parser's depth limit
+        "deep-tree.json": '{"k": 2, "sink": 1, "nodes": ' + "[" * 3000 + "]" * 3000 + "}",
+        "deep-path.json": '{"k": 2, "steps": ' + "[" * 3000 + "]" * 3000 + "}",
         "corrupt/relaxed-k2.ctab": "ctab 2\nkind relaxed\nk 2\nn_max 3\nsha256 0\n1\n",
-        # valid files in the decimal wedge ctab 1 and the cache's decimal
-        # ctab 2 and hexadecimal ctab 3 layouts, count(0..3); the last under
-        # another kind's name
+        # valid files in the decimal wedge ctab 1, the cache's decimal ctab 2
+        # and hexadecimal ctab 3 layouts, count(0..3), and the binary wedge
+        # ctab 5, count(0..6); the last under another kind's name
         "legacy1/dfa-k3.ctab": (FIXTURES / "dfa_k3_ctab1.ctab").read_text(),
+        "legacy5/dfa-k3.ctab": (FIXTURES / "dfa_k3_ctab5.ctab").read_bytes(),
         "legacy/dfa-k3.ctab": (FIXTURES / "dfa_k3_ctab2.ctab").read_text(),
         "legacy3/dfa-k3.ctab": (FIXTURES / "dfa_k3_ctab3.ctab").read_text(),
         "legacy-mismatch/relaxed-k2.ctab": (FIXTURES / "dfa_k3_ctab2.ctab").read_text(),
@@ -84,13 +88,15 @@ def commands() -> list[list[str]]:
         # the first size whose count has more than 4,300 digits
         ["count", "--kind", "relaxed", "--k", "3", "--n-max", "760"],
         ["count", "--kind", "relaxed", "--k", "2", "--n-max", "3", "--cache-dir", "corrupt"],
-        # read, then extend, a file in the ctab 1, ctab 2 and ctab 3 layouts,
+        # read, then extend, a file in the ctab 1, 2, 3 and 5 layouts,
         # which the cache rebuilds; one of another kind is refused
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "7", "--format", "json", "--cache-dir", "legacy1"],
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "3", "--cache-dir", "legacy"],
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "7", "--format", "json", "--cache-dir", "legacy"],
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "2", "--cache-dir", "legacy3"],
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "7", "--format", "json", "--cache-dir", "legacy3"],
+        ["count", "--kind", "dfa", "--k", "3", "--n-max", "2", "--cache-dir", "legacy5"],
+        ["count", "--kind", "dfa", "--k", "3", "--n-max", "7", "--format", "json", "--cache-dir", "legacy5"],
         ["count", "--kind", "relaxed", "--k", "2", "--n-max", "3", "--cache-dir", "legacy-mismatch"],
         ["count", "--kind", "relaxed", "--k", "1", "--n-max", "3"],
         ["count", "--kind", "relaxed", "--k", "2", "--n-max", "-1"],
@@ -138,6 +144,7 @@ def commands() -> list[list[str]]:
         cmds.append(["convert", "--direction", direction, "--input", good, "--output", f"out-{good}"])
         cmds += [["convert", "--direction", direction, "--input", name] for name in bad]
         cmds.append(["convert", "--direction", direction, "--input", "garbage.json"])
+        cmds.append(["convert", "--direction", direction, "--input", f"deep-{direction.split('-')[0]}.json"])
         cmds.append(["convert", "--direction", direction, "--input", "missing.json"])
     for route in ("auto", "exact", "scaled"):
         cmds.append(["asym", "ratio", "--k", "2", "--ns", "32,64,128", "--route", route])
@@ -165,9 +172,9 @@ def commands() -> list[list[str]]:
 
 
 def run_side(src: Path, workdir: Path, cmds: list[list[str]]) -> list[tuple[int, str, str]]:
-    for name, text in inputs().items():
+    for name, data in inputs().items():
         (workdir / name).parent.mkdir(parents=True, exist_ok=True)
-        (workdir / name).write_text(text)
+        (workdir / name).write_bytes(data.encode() if isinstance(data, str) else data)
     env = {key: value for key, value in os.environ.items() if key != "DAGENUM_CACHE_DIR"}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     results = []
