@@ -15,7 +15,7 @@ run in the same pass, so no pop can underflow.
 from __future__ import annotations
 
 from . import paths, trees
-from .paths import DecoratedPath, horiz, up
+from .paths import DecoratedPath
 from .trees import RelaxedTree
 
 
@@ -23,9 +23,7 @@ def tree_to_path(t: RelaxedTree) -> DecoratedPath:
     violations, trace = trees._walk(t)
     if violations:
         raise ValueError(f"invalid-tree: {violations[0].code}")
-    # trace entry 0 is a U step, c > 0 an H step crossing c
-    steps = [up(), *map(horiz, range(1, t.n + 1))]
-    return DecoratedPath(t.k, tuple(map(steps.__getitem__, trace)))
+    return DecoratedPath(t.k, tuple(trace))
 
 
 def path_to_tree(p: DecoratedPath) -> RelaxedTree:

@@ -18,34 +18,15 @@ from .tables import _check_size
 from .trees import Child, Node, POINTER, SPINE, _int
 
 
-class Step(NamedTuple):
-    kind: str  # "U" or "H"
-    cross: int | None = None
-
-
-_UP = Step("U")
-
-
-def up() -> Step:
-    return _UP
-
-
-# Steps are immutable, so paths can share them; the cache saves building a
-# NamedTuple per H step (three times the cost of a cache hit).
-@lru_cache(maxsize=1024, typed=True)
-def horiz(cross: int) -> Step:
-    return Step("H", cross)
-
-
 @dataclass(frozen=True)
 class DecoratedPath:
     k: int
-    steps: tuple[Step, ...]
+    steps: tuple[int | None, ...]  # None for a U step, the cross for an H
 
     @property
     def n(self) -> int:
         """Internal-node count of the image tree: U steps minus one."""
-        return sum(1 for s in self.steps if s.kind == "U") - 1
+        return self.steps.count(None) - 1
 
 
 class PathReport(NamedTuple):
@@ -80,15 +61,13 @@ def _walk(p: DecoratedPath) -> tuple[PathReport, list[Node] | None]:
     k, steps = p.k, p.steps
     if k < 2:
         return PathReport(False, None, "arity-k"), None
-    if not steps or steps[0].kind != "U":
+    if not steps or steps[0] is not None:
         return PathReport(False, 0, "first-step"), None
     stack: list[Child] = []
     nodes: list[Node] = []
     label = 0  # labels completed so far, one per U step
-    for idx, (kind, cross) in enumerate(steps):
-        if kind == "U":
-            if cross is not None:
-                return PathReport(False, idx, "step-format"), None
+    for idx, cross in enumerate(steps):
+        if cross is None:  # a U step
             if label:
                 if len(stack) < k:
                     return PathReport(False, idx, "diagonal"), None
@@ -96,15 +75,13 @@ def _walk(p: DecoratedPath) -> tuple[PathReport, list[Node] | None]:
                 del stack[-k:]
             label += 1
             stack.append(_edge(SPINE, label))
-        elif kind == "H":
-            if not isinstance(cross, int):
-                return PathReport(False, idx, "step-format"), None
-            # a cross names a completed label: 1..m+1 at height m
-            if not 1 <= cross <= label:
-                return PathReport(False, idx, "cross-range"), None
-            stack.append(_edge(POINTER, cross))
-        else:
+        elif not isinstance(cross, int):
             return PathReport(False, idx, "step-format"), None
+        # a cross names a completed label: 1..m+1 at height m
+        elif not 1 <= cross <= label:
+            return PathReport(False, idx, "cross-range"), None
+        else:
+            stack.append(_edge(POINTER, cross))
     if len(stack) != 1:
         return PathReport(False, len(steps), "endpoint"), None
     return PathReport(True), nodes
@@ -139,7 +116,7 @@ def generate_paths(k: int, n: int, limit: int | None = None) -> Iterator[Decorat
     _check_exhaustive(k, n, limit)
     total_u = n + 1
     total_h = (k - 1) * n
-    steps: list[Step] = []
+    steps: list[int | None] = []
 
     def rec(us: int, hs: int) -> Iterator[DecoratedPath]:
         if us == total_u and hs == total_h:
@@ -147,13 +124,13 @@ def generate_paths(k: int, n: int, limit: int | None = None) -> Iterator[Decorat
             return
         # U first: the new vertex (hs, us) must stay weakly below the diagonal
         if us < total_u and (k - 1) * us <= hs:
-            steps.append(up())
+            steps.append(None)
             yield from rec(us + 1, hs)
             steps.pop()
         # H at height us - 1, crosses ascending
         if hs < total_h and us >= 1:
             for cross in range(1, us + 1):
-                steps.append(horiz(cross))
+                steps.append(cross)
                 yield from rec(us, hs + 1)
                 steps.pop()
 
@@ -161,12 +138,7 @@ def generate_paths(k: int, n: int, limit: int | None = None) -> Iterator[Decorat
 
 
 def to_document(p: DecoratedPath) -> dict:
-    steps = []
-    for step in p.steps:
-        if step.kind == "U":
-            steps.append({"type": "U"})
-        else:
-            steps.append({"type": "H", "cross": step.cross})
+    steps = [{"type": "U"} if c is None else {"type": "H", "cross": c} for c in p.steps]
     return {"k": p.k, "steps": steps}
 
 
@@ -180,9 +152,9 @@ def from_document(doc: dict) -> DecoratedPath:
         for raw in raw_steps:
             kind = raw["type"]
             if kind == "U":
-                steps.append(up())
+                steps.append(None)
             elif kind == "H":
-                steps.append(horiz(_int(raw["cross"])))
+                steps.append(_int(raw["cross"]))
             else:
                 raise ValueError
     except (KeyError, TypeError, ValueError):

@@ -345,11 +345,11 @@ def _load_diagonal(path) -> tuple[str, str, int, list[int], list[list[int]]]:
     magic, kind, k, n_max, raw = _read_ctab(path)
     if magic != _MAGIC_4:
         return magic, kind, k, [], []
-    sizes = [n // (k - 1) + 1 for n in _tail_columns(k, n_max)]
-    # the layout fixes each column's length, so the entry count checks it
-    values = iter(_unpack(raw, n_max + 1 + sum(sizes)))
+    # the layout fixes each column's length, so the entry count checks it:
+    # n_max + 1 on the diagonal and k * n_max + 1 in the tail
+    values = iter(_unpack(raw, (k + 1) * n_max + 2))
     diagonal = list(islice(values, n_max + 1))
-    tail = [list(islice(values, size)) for size in sizes]
+    tail = [list(islice(values, n // (k - 1) + 1)) for n in _tail_columns(k, n_max)]
     # the diagonal starts at count(0) = 1, as every column starts at m = 0
     _check_cells(kind, [diagonal, *tail])
     if tail[-1][-1] != diagonal[-1]:

@@ -62,14 +62,14 @@ def validate_tree(t: RelaxedTree) -> list[Violation]:
     return _walk(t)[0]
 
 
-def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int] | None]:
+def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int | None] | None]:
     """The one postorder walk: validate_tree's violations, in its order, and
     for a valid tree the step trace of the walk, else None.
 
-    The trace holds 0 for a U step (each completion; the sink completes on
-    its first visit) and the target label for an H step (each edge that is
-    not a spanning edge).  The walk's per-label state lives in lists indexed
-    by label.
+    The trace is the steps of the tree's decorated path: None for a U step
+    (each completion; the sink completes on its first visit) and the target
+    label, the cross, for an H step (each edge that is not a spanning edge).
+    The walk's per-label state lives in lists indexed by label.
     """
     if t.k < 2:
         return [Violation("arity-k", ())], None
@@ -100,7 +100,7 @@ def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int] | None]:
     if violations:
         return violations, None
     if n == 0:
-        return violations, [0]
+        return violations, [None]
 
     # DFS from the root, recomputing the spanning tree instead of trusting
     # the spine tags.  An edge is a spanning edge iff it first-visits its
@@ -110,7 +110,7 @@ def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int] | None]:
     post_number = [0] * (n + 2)  # 0 until the node completes
     counter = 0
     in_postorder = True
-    trace: list[int] = []
+    trace: list[int | None] = []
     stack = [(root, iter(kids[root]))]
     while stack:
         label, rest = stack[-1]
@@ -134,7 +134,7 @@ def _walk(t: RelaxedTree) -> tuple[list[Violation], list[int] | None]:
             post_number[label] = counter
             if counter != label:
                 in_postorder = False
-            trace.append(0)
+            trace.append(None)
             stack.pop()
 
     reached_all = counter == root  # every visited node completes

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from dagenum.paths import DecoratedPath, Step, horiz, up
+from dagenum.paths import DecoratedPath
 from dagenum.tables import _columns
 
 
@@ -31,15 +31,15 @@ class PathSampler:
 
     def draw(self, rng: random.Random) -> DecoratedPath:
         x, y = (self.k - 1) * self.n, self.n
-        back: list[Step] = []  # the steps after the forced first U, last first
+        back: list[int | None] = []  # the steps after the forced first U, last first
         while x or y:
             via_u = self.count(x, y - 1)
             per_cross = self.count(x - 1, y)
             pick = rng.randrange(via_u + (y + 1) * per_cross)
             if pick < via_u:
-                back.append(up())
+                back.append(None)
                 y -= 1
             else:  # pick - via_u is uniform over (y + 1) * per_cross
-                back.append(horiz((pick - via_u) // per_cross + 1))
+                back.append((pick - via_u) // per_cross + 1)
                 x -= 1
-        return DecoratedPath(self.k, (up(), *reversed(back)))
+        return DecoratedPath(self.k, (None, *reversed(back)))

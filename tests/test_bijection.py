@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from dagenum.bijection import path_to_tree, tree_to_path
 from dagenum.oracle import enumerate_relaxed, enumerate_relaxed_via_paths
-from dagenum.paths import DecoratedPath, dumps as path_dumps, generate_paths, horiz, loads as path_loads, up, validate_path
+from dagenum.paths import DecoratedPath, dumps as path_dumps, generate_paths, loads as path_loads, validate_path
 from dagenum.trees import Child, Node, POINTER, RelaxedTree, SPINE, dumps as tree_dumps, loads as tree_loads, validate_tree
 
 
@@ -15,14 +15,14 @@ def one_node_tree(k):
 def test_empty_tree_maps_to_single_up():
     t = RelaxedTree(2, ())
     p = tree_to_path(t)
-    assert p.steps == (up(),)
+    assert p.steps == (None,)
     assert path_to_tree(p) == t
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_smallest_tree_image(k):
     p = tree_to_path(one_node_tree(k))
-    assert p.steps == (up(),) + (horiz(1),) * (k - 1) + (up(),)
+    assert p.steps == (None,) + (1,) * (k - 1) + (None,)
     assert path_to_tree(p) == one_node_tree(k)
 
 
@@ -57,9 +57,9 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError, match="invalid-tree"):
         tree_to_path(RelaxedTree(2, (Node(2, ()),)))
     with pytest.raises(ValueError, match="invalid-path: diagonal at step 1"):
-        path_to_tree(DecoratedPath(2, (up(), up())))
+        path_to_tree(DecoratedPath(2, (None, None)))
     with pytest.raises(ValueError, match="invalid-path: endpoint at step 2"):
-        path_to_tree(DecoratedPath(2, (up(), horiz(1))))
+        path_to_tree(DecoratedPath(2, (None, 1)))
 
 
 def _prefix_maps_or_refuses(p: DecoratedPath) -> None:
@@ -105,10 +105,10 @@ def _random_path(draw, k: int, n: int) -> DecoratedPath:
             moves.extend(range(1, us + 1))
         move = draw(st.sampled_from(moves))
         if move == -1:
-            steps.append(up())
+            steps.append(None)
             us += 1
         else:
-            steps.append(horiz(move))
+            steps.append(move)
             hs += 1
     return DecoratedPath(k, tuple(steps))
 

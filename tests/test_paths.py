@@ -2,31 +2,24 @@ import json
 
 import pytest
 
-from dagenum.paths import (
-    DecoratedPath,
-    Step,
-    dumps,
-    generate_paths,
-    horiz,
-    loads,
-    up,
-    validate_path,
-)
+from dagenum.paths import DEFAULT_TREE_LIMITS, DecoratedPath, dumps, generate_paths, loads, validate_path
+
+U = None  # a U step; an H step is its cross
 
 
 def test_trivial_path():
-    p = DecoratedPath(2, (up(),))
+    p = DecoratedPath(2, (U,))
     assert p.n == 0
     assert validate_path(p).ok  # the endpoint rule: ok and n = 0 put it at (0, 0)
 
 
 def test_arity_rejected():
-    rep = validate_path(DecoratedPath(1, (up(),)))
+    rep = validate_path(DecoratedPath(1, (U,)))
     assert not rep.ok and rep.code == "arity-k"
 
 
 def test_first_step_must_be_up():
-    rep = validate_path(DecoratedPath(2, (horiz(1), up())))
+    rep = validate_path(DecoratedPath(2, (1, U)))
     assert not rep.ok and rep.code == "first-step" and rep.index == 0
     rep = validate_path(DecoratedPath(2, ()))
     assert not rep.ok and rep.code == "first-step"
@@ -34,46 +27,50 @@ def test_first_step_must_be_up():
 
 def test_diagonal_constraint():
     # second U at (0, 1) sits above y = x for k = 2
-    rep = validate_path(DecoratedPath(2, (up(), up())))
+    rep = validate_path(DecoratedPath(2, (U, U)))
     assert not rep.ok and rep.code == "diagonal" and rep.index == 1
 
 
 def test_endpoint_constraint():
     # U H(1) stops at (1, 0), short of the diagonal point (1, 1)
-    rep = validate_path(DecoratedPath(2, (up(), horiz(1))))
+    rep = validate_path(DecoratedPath(2, (U, 1)))
     assert not rep.ok and rep.code == "endpoint" and rep.index == 2
 
 
 def test_cross_range():
     # H at height 0 allows only cross 1
-    rep = validate_path(DecoratedPath(2, (up(), horiz(2))))
+    rep = validate_path(DecoratedPath(2, (U, 2)))
     assert not rep.ok and rep.code == "cross-range" and rep.index == 1
-    rep = validate_path(DecoratedPath(2, (up(), horiz(0))))
+    rep = validate_path(DecoratedPath(2, (U, 0)))
     assert not rep.ok and rep.code == "cross-range"
 
 
 def test_step_format():
-    rep = validate_path(DecoratedPath(2, (Step("U", 1),)))
-    assert not rep.ok and rep.code == "step-format"
-    rep = validate_path(DecoratedPath(2, (up(), Step("H", None))))
-    assert not rep.ok and rep.code == "step-format"
-    rep = validate_path(DecoratedPath(2, (up(), Step("X", None))))
-    assert not rep.ok and rep.code == "step-format"
-    # horiz shares its steps; an equal cross of another type is another step
-    assert horiz(1) == Step("H", 1)
-    assert type(horiz(1.0).cross) is float and type(horiz(True).cross) is bool
-    rep = validate_path(DecoratedPath(2, (up(), horiz(1.0))))
-    assert not rep.ok and rep.code == "step-format"
+    # a step is None (U) or an int cross (H); anything else is refused
+    for step in ("U", ("H", 1), 1.0, "1"):
+        rep = validate_path(DecoratedPath(2, (U, step, U)))
+        assert not rep.ok and rep.code == "step-format" and rep.index == 1
+    rep = validate_path(DecoratedPath(2, ("U",)))
+    assert not rep.ok and rep.code == "first-step" and rep.index == 0
 
 
 def test_generation_order_k2_n2():
     got = list(generate_paths(2, 2))
     want = [
-        DecoratedPath(2, (up(), horiz(1), up(), horiz(1), up())),
-        DecoratedPath(2, (up(), horiz(1), up(), horiz(2), up())),
-        DecoratedPath(2, (up(), horiz(1), horiz(1), up(), up())),
+        DecoratedPath(2, (U, 1, U, 1, U)),
+        DecoratedPath(2, (U, 1, U, 2, U)),
+        DecoratedPath(2, (U, 1, 1, U, U)),
     ]
     assert got == want
+
+
+@pytest.mark.parametrize("k", sorted(DEFAULT_TREE_LIMITS))
+def test_generation_is_strictly_lexicographic(k):
+    # U < H(1) < H(2) < ...: with U as 0 the step tuples strictly increase,
+    # so no path is missing from its place or yielded twice
+    for n in range(DEFAULT_TREE_LIMITS[k] + 1):
+        keys = [tuple(0 if c is None else c for c in p.steps) for p in generate_paths(k, n)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize(
@@ -106,7 +103,7 @@ def test_generation_guards():
 
 
 def test_document_round_trip():
-    p = DecoratedPath(3, (up(), horiz(1), horiz(1), horiz(1), up()))
+    p = DecoratedPath(3, (U, 1, 1, 1, U))
     assert loads(dumps(p)) == p
 
 
@@ -122,6 +119,16 @@ def test_loads_rejects_garbage():
         doc = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": cross}, {"type": "U"}]}
         with pytest.raises(ValueError, match="path-format"):
             loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("cross", [0, -1])
+def test_h_step_below_cross_1_is_not_a_u(cross):
+    # the document loads; its H step keeps its index and fails the range
+    doc = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": cross}, {"type": "U"}]}
+    p = loads(json.dumps(doc))
+    assert p.steps == (U, cross, U) and p.n == 1
+    rep = validate_path(p)
+    assert not rep.ok and rep.code == "cross-range" and rep.index == 1
 
 
 def test_fixture_path_is_valid(fixtures_dir):

@@ -85,7 +85,7 @@ def test_final_u_run_matches_its_exact_law(k, n, seed):
     total = 0
     for _ in range(SHARE_DRAWS):
         steps = sampler.draw(rng).steps
-        total += next(j for j, step in enumerate(reversed(steps)) if step.kind == "H")
+        total += next(j for j, step in enumerate(reversed(steps)) if step is not None)
     z = (total / SHARE_DRAWS - mean) / math.sqrt(var / SHARE_DRAWS)
     assert abs(z) <= 4, f"z = {z:.2f}"
 

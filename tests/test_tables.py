@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -261,19 +262,16 @@ def test_interrupted_cache_save_keeps_old_file(tmp_path, torn_writes):
 
 
 
-def test_ctab_1_is_migrated_to_ctab_4(tmp_path, cache_writes):
+def test_ctab_1_is_migrated_to_ctab_4(tmp_path, cache_writes, fixtures_dir):
     # the cache does not read a wedge, decimal ctab 1 or binary ctab 5: it
     # rebuilds the diagonal from column 0 and replaces the file with the
     # ctab 4 of the requested n_max
     fresh = tmp_path / "fresh.ctab"
     cached_diagonal("dfa", 3, 4, fresh)
-    for name in ("ctab1", "ctab5"):
+    for name, data in (("ctab1", _CTAB1), ("ctab5", (fixtures_dir / "dfa_k3_ctab5.ctab").read_bytes())):
         path = tmp_path / name / "dfa-k3.ctab"
         path.parent.mkdir()
-        if name == "ctab1":
-            path.write_bytes(_CTAB1)
-        else:
-            save_table(build_table("dfa", 3, 11), path)
+        path.write_bytes(data)
         cache_writes.clear()
         assert cached_diagonal("dfa", 3, 4, path) == diagonal_sequence("dfa", 3, 4)
         magic, kind, k, diagonal, _ = tables._load_diagonal(path)
@@ -350,6 +348,22 @@ def test_damaged_ctab_4_is_refused(tmp_path, resign, damage):
     with pytest.raises(CacheError, match=f"^cache-corrupt: {message}$"):
         cached_diagonal("relaxed", 2, 6, path)
     assert path.read_bytes() == stamp
+
+
+def test_huge_header_k_is_refused_before_any_allocation(tmp_path):
+    # the checksum covers only the body, so a header may name any k; the
+    # entry count is checked before a list sized by k is built
+    path = tmp_path / "relaxed-k2.ctab"
+    tables._write_ctab(path, "ctab 4", "relaxed", 2_000_000, 1, b"")
+    assert len(path.read_bytes()) == 112
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheError, match="^cache-corrupt: wrong entry count$"):
+            cached_diagonal("relaxed", 2, 3, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # The first relaxed k = 3 count over CPython's default 4,300-digit int-str

@@ -35,6 +35,9 @@ _TREE_SPINE_TAG = {
 }
 _PATH_DIAGONAL = {"k": 2, "steps": [{"type": "U"}, {"type": "U"}]}
 _PATH_CROSS = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 2}, {"type": "U"}]}
+# H steps with crosses below 1 load, and fail the range at their own index
+_PATH_CROSS_0 = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 0}, {"type": "U"}]}
+_PATH_CROSS_NEG = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": -1}, {"type": "U"}]}
 # stops at (1, 0), short of the diagonal point (1, 1)
 _PATH_ENDPOINT = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1}]}
 # integer fields that are not integers: refused, not truncated to 1
@@ -54,6 +57,8 @@ def inputs() -> dict[str, str | bytes]:
         "bad-tree-spine-tag.json": json.dumps(_TREE_SPINE_TAG),
         "bad-path-diagonal.json": json.dumps(_PATH_DIAGONAL),
         "bad-path-cross.json": json.dumps(_PATH_CROSS),
+        "bad-path-cross-0.json": json.dumps(_PATH_CROSS_0),
+        "bad-path-cross-neg.json": json.dumps(_PATH_CROSS_NEG),
         "bad-path-endpoint.json": json.dumps(_PATH_ENDPOINT),
         "bad-path-float-cross.json": json.dumps(_PATH_FLOAT_CROSS),
         "bad-tree-string-target.json": json.dumps(_TREE_STRING_TARGET),
@@ -62,6 +67,9 @@ def inputs() -> dict[str, str | bytes]:
         "deep-tree.json": '{"k": 2, "sink": 1, "nodes": ' + "[" * 3000 + "]" * 3000 + "}",
         "deep-path.json": '{"k": 2, "steps": ' + "[" * 3000 + "]" * 3000 + "}",
         "corrupt/relaxed-k2.ctab": "ctab 2\nkind relaxed\nk 2\nn_max 3\nsha256 0\n1\n",
+        # a signed empty body under a header naming a huge k
+        "corrupt/dfa-k2.ctab": "ctab 4\nkind dfa\nk 1000000\nn_max 1\nchecksum "
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855\n",
         # valid files in the decimal wedge ctab 1, the cache's decimal ctab 2
         # and hexadecimal ctab 3 layouts, count(0..3), and the binary wedge
         # ctab 5, count(0..6); the last under another kind's name
@@ -88,6 +96,7 @@ def commands() -> list[list[str]]:
         # the first size whose count has more than 4,300 digits
         ["count", "--kind", "relaxed", "--k", "3", "--n-max", "760"],
         ["count", "--kind", "relaxed", "--k", "2", "--n-max", "3", "--cache-dir", "corrupt"],
+        ["count", "--kind", "dfa", "--k", "2", "--n-max", "3", "--cache-dir", "corrupt"],
         # read, then extend, a file in the ctab 1, 2, 3 and 5 layouts,
         # which the cache rebuilds; one of another kind is refused
         ["count", "--kind", "dfa", "--k", "3", "--n-max", "7", "--format", "json", "--cache-dir", "legacy1"],
@@ -138,6 +147,7 @@ def commands() -> list[list[str]]:
         ("tree-to-path", "tree.json",
          ("bad-tree-arity.json", "bad-tree-spine-tag.json", "bad-tree-string-target.json")),
         ("path-to-tree", "path.json", ("bad-path-diagonal.json", "bad-path-cross.json",
+                                       "bad-path-cross-0.json", "bad-path-cross-neg.json",
                                        "bad-path-endpoint.json", "bad-path-float-cross.json")),
     ):
         cmds.append(["convert", "--direction", direction, "--input", good])
