@@ -31,7 +31,6 @@ suffix-walk counts that the window-truncation argument rests on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,32 +68,9 @@ def min_eta(k: int) -> float:
     return (k + 2) ** 2 / (72.0 * (k - 1) ** 2)
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants of the sandwich witnesses for one arity.
-
-    eta only enters the upper witness; it must be finite and sit strictly
-    above min_eta(k).  epsilon controls the column windows (j < i^(2/3-eps) on
-    the lower side, j < i^(1-eps) on the upper side).
-    """
-
-    k: int
-    eta: float
-    epsilon: float
-
-    def __post_init__(self):
-        floor = min_eta(self.k)  # refuses k < 2
-        if not self.eta > floor:
-            raise ValueError(f"eta-floor: {self.eta} is not above {floor}")
-        if self.eta == math.inf:  # inf * 0**4 would make every cell NaN, none failing
-            raise ValueError(f"eta-finite: {self.eta} is not finite")
-        if not 0.0 < self.epsilon < 2.0 / 3.0:
-            raise ValueError(f"epsilon-range: {self.epsilon} outside (0, 2/3)")
-
-
-def _bracket_coeffs(p: BoundParams) -> tuple[float, float, float, float, float]:
+def _bracket_coeffs(k: int) -> tuple[float, float, float, float, float]:
     # c4 = c1^2/2 and c5 = c1*c2; kept in closed form for readability.
-    k, B, a1 = p.k, airy_scale(p.k), airy_root_a1()
+    B, a1 = airy_scale(k), airy_root_a1()
     c1 = a1 * (k - 2) * B**2 / 6.0
     c2 = (k + 2) / (6.0 * (k - 1))
     c3 = (7 * k - 11) / (6.0 * (k - 1))
@@ -103,16 +79,11 @@ def _bracket_coeffs(p: BoundParams) -> tuple[float, float, float, float, float]:
     return c1, c2, c3, c4, c5
 
 
-def _default_quartic(p: BoundParams, i: int, j):
-    """The upper witness's quartic correction eta * j^4 / i^2."""
-    return p.eta * j**4 / float(i) ** 2
-
-
 def _x_row(
     side: str,
-    p: BoundParams,
+    k: int,
+    eta: float,
     rows: list[tuple[int, np.ndarray]],
-    quartic,
 ) -> list[np.ndarray]:
     """Witness values X(i, j), one array for each (i, js) row, js an integer
     column vector; the lower side's values are clamped at zero.
@@ -120,7 +91,7 @@ def _x_row(
     The brackets are built row by row; the Airy factors of all rows are
     evaluated in one call.
     """
-    c1, c2, c3, c4, c5 = _bracket_coeffs(p)
+    c1, c2, c3, c4, c5 = _bracket_coeffs(k)
     brackets, args = [], []
     for i, js in rows:
         jf = js.astype(np.float64)
@@ -135,9 +106,9 @@ def _x_row(
             + c5 * jf**3 / (i23 * i23 * i13)
         )
         if side == "upper":
-            br = br + quartic(p, i, jf)
+            br = br + eta * jf**4 / float(i) ** 2
         brackets.append(br)
-        args.append(profile_argument(p.k, i, jf))
+        args.append(profile_argument(k, i, jf))
     ai = _airy_ai_vec(np.concatenate(args))
     vals = np.concatenate(brackets) * ai
     if side == "lower":
@@ -170,9 +141,9 @@ def _window(i: int, p_exp: float) -> int:
 
 def _scan_block(
     side: str,
-    params: BoundParams,
+    k: int,
     p_exp: float,
-    quartic,
+    eta: float,
     lo: int,
     hi: int,
 ) -> list[tuple[int, int]]:
@@ -186,7 +157,6 @@ def _scan_block(
     its memory.  A cell's verdict reads only rows i-1 and i, so the block
     seams do not change it.
     """
-    k = params.k
     out: list[tuple[int, int]] = []
     prev = None
     nxt = lo - 1
@@ -198,7 +168,7 @@ def _scan_block(
             block.append((nxt, js))
             points += js.shape[0]
             nxt += 1
-        for (i, _), cur in zip(block, _x_row(side, params, block, quartic)):
+        for (i, _), cur in zip(block, _x_row(side, k, eta, block)):
             if i < lo:
                 prev = cur
                 continue
@@ -226,6 +196,9 @@ def verify_bounds(
 ) -> dict:
     """Exhaustively check one witness inequality on a finite index range.
 
+    eta only enters the upper witness; it must be finite and sit strictly
+    above min_eta(k).  epsilon, in (0, 2/3), sets the column windows
+    (j < i^(2/3-eps) on the lower side, j < i^(1-eps) on the upper side).
     Scans every cell (i, j) with i_range[0] <= i <= i_range[1] and j inside
     the side's window.  Violations are reported as data, never raised: the
     report is the JSON-ready dict of side, k, eta, epsilon, i_min, i_max,
@@ -235,7 +208,13 @@ def verify_bounds(
     is claimed about indices outside the range.
     """
     _check_side(side)
-    params = BoundParams(k=k, eta=eta, epsilon=epsilon)
+    floor = min_eta(k)  # refuses k < 2
+    if not eta > floor:
+        raise ValueError(f"eta-floor: {eta} is not above {floor}")
+    if eta == math.inf:  # inf * 0**4 would make every cell NaN, none failing
+        raise ValueError(f"eta-finite: {eta} is not finite")
+    if not 0.0 < epsilon < 2.0 / 3.0:
+        raise ValueError(f"epsilon-range: {epsilon} outside (0, 2/3)")
     i_min, i_max = int(i_range[0]), int(i_range[1])
     if i_min < 2 or i_max < i_min:
         raise ValueError(f"i-range: ({i_min}, {i_max}) needs 2 <= i_min <= i_max")
@@ -246,7 +225,7 @@ def verify_bounds(
     # the quartic forms eta * j^4 before it divides by i^2; j stays below widest
     if side == "upper" and math.isinf(eta * float(widest) ** 4):
         raise ValueError(f"eta-finite: {eta} * {widest}^4 overflows")
-    violations = _scan_block(side, params, p_exp, _default_quartic, i_min, i_max)
+    violations = _scan_block(side, k, p_exp, eta, i_min, i_max)
     return {
         "side": side,
         "k": k,

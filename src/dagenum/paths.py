@@ -151,7 +151,7 @@ def from_document(doc: dict) -> DecoratedPath:
         steps = []
         for raw in raw_steps:
             kind = raw["type"]
-            if kind == "U":
+            if kind == "U" and "cross" not in raw:  # a U with a cross is refused below
                 steps.append(None)
             elif kind == "H":
                 steps.append(_int(raw["cross"]))

@@ -215,7 +215,7 @@ def _int(value) -> int:
 def from_document(doc: dict) -> RelaxedTree:
     try:
         k = _int(doc["k"])
-        sink = doc["sink"]
+        sink = _int(doc["sink"])
         raw_nodes = doc["nodes"]
         if not isinstance(raw_nodes, list) or sink != 1:
             raise ValueError

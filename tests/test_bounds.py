@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from dagenum.asym import bounds
-from dagenum.asym.bounds import BoundParams, min_eta, s_factor, verify_bounds
+from dagenum.asym.bounds import min_eta, s_factor, verify_bounds
 from dagenum.asym.exact import p_ratio_check, weight_u
 from dagenum.asym.predict import airy_root_a1, airy_scale
 from dagenum.tables import DEFAULT_BYTE_BUDGET
 
 
-def x(side, p, i, j):
+def x(side, k, eta, i, j):
     """One witness value X(i, j), clamped at zero on the lower side."""
-    return float(bounds._x_row(side, p, [(i, np.array([j]))], bounds._default_quartic)[0][0])
+    return float(bounds._x_row(side, k, eta, [(i, np.array([j]))])[0][0])
 
 
 def test_min_eta_values():
@@ -26,17 +26,25 @@ def test_min_eta_values():
 
 
 def test_params_validation():
-    BoundParams(3, eta=1.05 * min_eta(3), epsilon=0.1)
+    def check(side="upper", k=3, eta=1.0, epsilon=0.1, i_range=(2, 3)):
+        return verify_bounds(side, k, eta, epsilon, i_range)
+
+    check(eta=1.05 * min_eta(3))
     assert airy_scale(3) == pytest.approx(1.0)
     assert -2.4 < airy_root_a1() < -2.3
     with pytest.raises(ValueError, match="eta-floor"):
-        BoundParams(3, eta=min_eta(3), epsilon=0.1)  # strict inequality
+        check(eta=min_eta(3))  # strict inequality
     with pytest.raises(ValueError, match="epsilon-range"):
-        BoundParams(3, eta=1.0, epsilon=0.7)
+        check(epsilon=0.7)
     with pytest.raises(ValueError, match="epsilon-range"):
-        BoundParams(3, eta=1.0, epsilon=0.0)
+        check(epsilon=0.0)
     with pytest.raises(ValueError, match="arity-k"):
-        BoundParams(1, eta=1.0, epsilon=0.1)
+        check(k=1)
+    # the refusal order: eta before epsilon, epsilon before the index range
+    with pytest.raises(ValueError, match="eta-floor"):
+        check(eta=0.0, epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon-range"):
+        check(epsilon=0.0, i_range=(1, 0))
 
 
 def test_s_factor_signs_and_limits():
@@ -75,23 +83,25 @@ def test_h_product_ordering_k3():
 
 
 def test_bound_value_basics():
-    p = BoundParams(2, eta=1.05 * min_eta(2), epsilon=0.1)
+    eta = 1.05 * min_eta(2)
     # the ghost column j = -1 evaluates against Ai at its root
-    assert abs(x("lower", p, 500, -1)) < 1e-12
+    assert abs(x("lower", 2, eta, 500, -1)) < 1e-12
     # deep columns push the lower bracket negative, which is clamped to zero
-    assert x("lower", p, 100, 80) == 0.0
-    assert x("upper", p, 100, 3) > 0.0
+    assert x("lower", 2, eta, 100, 80) == 0.0
+    assert x("upper", 2, eta, 100, 3) > 0.0
 
 
 def test_scan_matches_manual_cell():
     # recompute one lower-side cell from single witness values: the scan
     # inequality is s X(i,j) <= U(i,j) X(i-1,j-1) + X(i-1,j+k-1), X clamped
     k, i, j = 3, 500, 3
-    p = BoundParams(k, eta=1.05 * min_eta(k), epsilon=0.1)
-    lhs = s_factor("lower", k, i) * x("lower", p, i, j)
-    rhs = weight_u(k, i, j) * x("lower", p, i - 1, j - 1) + x("lower", p, i - 1, j + k - 1)
+    eta = 1.05 * min_eta(k)
+    lhs = s_factor("lower", k, i) * x("lower", k, eta, i, j)
+    rhs = weight_u(k, i, j) * x("lower", k, eta, i - 1, j - 1) + x(
+        "lower", k, eta, i - 1, j + k - 1
+    )
     assert lhs <= rhs
-    report = verify_bounds("lower", k, p.eta, p.epsilon, (2, 500))
+    report = verify_bounds("lower", k, eta, 0.1, (2, 500))
     assert [i, j] not in report["violations"]
 
 

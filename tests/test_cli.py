@@ -532,6 +532,22 @@ def test_infinite_eta_exits_2(capsys, command):
 
 
 @pytest.mark.parametrize("command", [["verify", "--scope", "bounds-upper"], ["asym", "bounds", "--side", "upper"]])
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        # every comparison with NaN is false, so the floor reads `not eta > floor`
+        ("--eta", "eta-floor: nan is not above 0.2222222222222222"),
+        ("--epsilon", "epsilon-range: nan outside (0, 2/3)"),
+    ],
+    ids=["eta", "epsilon"],
+)
+def test_nan_parameter_exits_2(capsys, command, flag, message):
+    code, out, err = run(capsys, command + ["--k", "2", "--i-max", "50", flag, "nan"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["verify", "--scope", "bounds-upper"], ["asym", "bounds", "--side", "upper"]])
 def test_overflowing_eta_exits_2(capsys, command):
     # a finite eta whose eta * j**4 overflows to inf, as inf itself would
     code, out, err = run(capsys, command + ["--k", "2", "--i-max", "50", "--eta", "1e308"])

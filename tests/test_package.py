@@ -14,7 +14,7 @@ import re
 import pytest
 
 import dagenum
-from dagenum.asym.bounds import BoundParams, min_eta, s_factor
+from dagenum.asym.bounds import min_eta, s_factor, verify_bounds
 from dagenum.asym.exact import exact_transform_diagonal, p_ratio_check
 from dagenum.asym.predict import predictor_log
 from dagenum.asym.scaled import build_scaled_table, profile_check
@@ -144,7 +144,7 @@ def test_bench_seams_resolve():
         summary = tracer.summary()
     finally:
         tracer.uninstall()
-    # spans reads (side, params, p_exp, quartic, lo, hi) positionally and
+    # spans reads (side, k, p_exp, eta, lo, hi) positionally and
     # counts ceil(i^p_exp) cells per row: sum of ceil(i^0.9) for i = 2..30
     assert summary["bounds._scan_block.upper"]["cells"] == 362
 
@@ -187,7 +187,7 @@ _GUARDED = {
     "generate_paths": (generate_paths, True),
     "enumerate_relaxed": (lambda k, n: next(enumerate_relaxed(k, n)), True),
     "min_eta": (lambda k, n: min_eta(k), False),
-    "BoundParams": (lambda k, n: BoundParams(k, 1.0, 0.1), False),
+    "verify_bounds": (lambda k, n: verify_bounds("upper", k, 1.0, 0.1, (2, 3)), False),
     "s_factor": (lambda k, n: s_factor("upper", k, 5), False),
     "predictor_log": (lambda k, n: predictor_log(k, 5), False),
     "cmd_verify": (_verify, True),

@@ -114,6 +114,9 @@ def test_loads_rejects_garbage():
         loads('{"k": 2, "steps": [{"type": "D"}]}')
     with pytest.raises(ValueError, match="path-format"):
         loads('{"k": 2, "steps": [{"type": "H"}]}')
+    # a U step carries no cross; one that does is refused, not dropped
+    with pytest.raises(ValueError, match="path-format"):
+        loads('{"k": 2, "steps": [{"type": "U", "cross": 5}]}')
     # a cross that is not an integer is refused, not truncated to 1
     for cross in (1.9, 1.0, True, "1"):
         doc = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": cross}, {"type": "U"}]}

@@ -161,6 +161,10 @@ def test_loads_rejects_garbage():
         loads("not json at all {")
     with pytest.raises(ValueError, match="tree-format"):
         loads('{"k": 2, "sink": 2, "nodes": []}')
+    # sink is an integer field: true and 1.0 are refused, not read as 1
+    for sink in ("true", "1.0"):
+        with pytest.raises(ValueError, match="tree-format"):
+            loads(f'{{"k": 2, "sink": {sink}, "nodes": []}}')
     with pytest.raises(ValueError, match="tree-format"):
         loads('{"k": 2, "sink": 1, "nodes": [{"label": 2}]}')
     # a label, target or arity that is not an integer is refused, not truncated

@@ -42,10 +42,13 @@ _PATH_CROSS_NEG = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": -1}, 
 _PATH_ENDPOINT = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1}]}
 # integer fields that are not integers: refused, not truncated to 1
 _PATH_FLOAT_CROSS = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1.9}, {"type": "U"}]}
+# a U step that carries a cross: refused, not dropped
+_PATH_U_CROSS = {"k": 2, "steps": [{"type": "U", "cross": 5}]}
 _TREE_STRING_TARGET = {
     "k": 2, "sink": 1,
     "nodes": [{"label": 2, "children": [{"type": "spine", "target": "1"}, {"type": "pointer", "target": 1}]}],
 }
+_TREE_BOOL_SINK = {"k": 2, "sink": True, "nodes": []}
 
 
 def inputs() -> dict[str, str | bytes]:
@@ -62,6 +65,8 @@ def inputs() -> dict[str, str | bytes]:
         "bad-path-endpoint.json": json.dumps(_PATH_ENDPOINT),
         "bad-path-float-cross.json": json.dumps(_PATH_FLOAT_CROSS),
         "bad-tree-string-target.json": json.dumps(_TREE_STRING_TARGET),
+        "bad-tree-bool-sink.json": json.dumps(_TREE_BOOL_SINK),
+        "bad-path-u-cross.json": json.dumps(_PATH_U_CROSS),
         "garbage.json": "not json {",
         # nested past the JSON parser's depth limit
         "deep-tree.json": '{"k": 2, "sink": 1, "nodes": ' + "[" * 3000 + "]" * 3000 + "}",
@@ -140,15 +145,20 @@ def commands() -> list[list[str]]:
     cmds.append(["verify", "--scope", "bounds-upper", "--k", "3", "--i-max", "200", "--eta", "inf"])
     # a finite eta whose quartic eta * j**4 overflows
     cmds.append(["asym", "bounds", "--side", "upper", "--k", "2", "--eta", "1e308", "--i-max", "50"])
+    # NaN fails every comparison, so each range check is written to refuse it
+    for flag in ("--eta", "--epsilon"):
+        cmds.append(["asym", "bounds", "--side", "upper", "--k", "2", flag, "nan", "--i-max", "50"])
     # a sweep over the byte budget
     cmds.append(["asym", "bounds", "--side", "upper", "--k", "2", "--i-max", "1000000000000"])
     cmds.append(["verify", "--scope", "nope", "--k", "2"])
     for direction, good, bad in (
         ("tree-to-path", "tree.json",
-         ("bad-tree-arity.json", "bad-tree-spine-tag.json", "bad-tree-string-target.json")),
+         ("bad-tree-arity.json", "bad-tree-spine-tag.json", "bad-tree-string-target.json",
+          "bad-tree-bool-sink.json")),
         ("path-to-tree", "path.json", ("bad-path-diagonal.json", "bad-path-cross.json",
                                        "bad-path-cross-0.json", "bad-path-cross-neg.json",
-                                       "bad-path-endpoint.json", "bad-path-float-cross.json")),
+                                       "bad-path-endpoint.json", "bad-path-float-cross.json",
+                                       "bad-path-u-cross.json")),
     ):
         cmds.append(["convert", "--direction", direction, "--input", good])
         cmds.append(["convert", "--direction", direction, "--input", good, "--output", f"out-{good}"])
