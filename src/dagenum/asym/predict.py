@@ -96,48 +96,43 @@ def ratio_diagnostic(
 
     Counts come from the exact diagonal (bignum -> log) up to n = 600;
     larger sizes switch to the factorial-transform route through the
-    scaled table, which only reproduces the relaxed diagonal.  route
+    scaled rows, which only reproduce the relaxed diagonal.  route
     forces "exact" or "scaled" throughout, mainly so the two can be
     cross-checked on their overlap.
     """
-    if route not in ("auto", "exact", "scaled"):
+    cut = {"auto": _EXACT_ROUTE_LIMIT, "exact": math.inf, "scaled": 0}.get(route)
+    if cut is None:
         raise ValueError(f"route: {route!r} is not auto/exact/scaled")
     ns = sorted(set(int(n) for n in ns))
     if not ns:
         return []
     if ns[0] < 1:
         raise ValueError(f"out-of-range: sizes must be >= 1, got {ns[0]}")
-    if route == "exact":
-        exact_ns, scaled_ns = ns, []
-    elif route == "scaled":
-        exact_ns, scaled_ns = [], ns
-    else:
-        exact_ns = [n for n in ns if n <= _EXACT_ROUTE_LIMIT]
-        scaled_ns = [n for n in ns if n > _EXACT_ROUTE_LIMIT]
+    exact_ns = [n for n in ns if n <= cut]
+    scaled_ns = ns[len(exact_ns):]
     if scaled_ns and kind != "relaxed":
         raise ValueError(
             f"route: the scaled route only reproduces the relaxed diagonal, "
             f"got kind {kind!r}"
         )
-    points: dict[int, RatioPoint] = {}
+    points = []
     if exact_ns:
         from ..tables import diagonal_sequence
 
         seq = diagonal_sequence(kind, k, exact_ns[-1])
-        for n in exact_ns:
-            points[n] = RatioPoint(n, _log_int(seq[n]) - predictor_log(k, n), "exact")
+        points = [RatioPoint(n, _log_int(seq[n]) - predictor_log(k, n), "exact") for n in exact_ns]
     if scaled_ns:
-        from .scaled import build_scaled_table
+        from .scaled import _scaled_rows
 
-        table = build_scaled_table(
-            k, k * scaled_ns[-1], keep_rows=[k * n for n in scaled_ns]
-        )
-        ln_km1 = math.log(k - 1.0)
-        for n in scaled_ns:
+        # one pass over rows 0..k max(n), reading row kn as it goes by
+        for i, (row, scale_log2) in enumerate(_scaled_rows(k, k * scaled_ns[-1])):
+            n = i // k
+            if i % k or n not in scaled_ns:
+                continue
             log_count = (
                 log_factorial((k - 1) * n)
-                - 2.0 * (k - 1) * n * ln_km1
-                + (math.log(table.rows[k * n][0]) + table.scale_log2[k * n] * _LN2)
+                - 2.0 * (k - 1) * n * math.log(k - 1.0)
+                + (math.log(row[0]) + scale_log2 * _LN2)
             )
-            points[n] = RatioPoint(n, log_count - predictor_log(k, n), "scaled")
-    return [points[n] for n in ns]
+            points.append(RatioPoint(n, log_count - predictor_log(k, n), "scaled"))
+    return points

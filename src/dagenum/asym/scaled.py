@@ -1,7 +1,7 @@
 """Floating-point iteration of the transformed relaxed recurrence, whose
 definition and exact rows are in exact.py, and the Airy profile fit.
 
-build_scaled_table iterates the rows d[i][j] for large i.  Row magnitudes
+_scaled_rows iterates the rows d[i][j] for large i.  Row magnitudes
 grow like k^i, so each float row is renormalized to a max-mantissa in
 [1/2, 1) with the shed power of two accumulated in an integer exponent;
 the row shape is untouched (exact power-of-two scaling).
@@ -14,7 +14,6 @@ fitting a single scale factor by least squares.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,33 +24,21 @@ from .exact import _parent_rows, exact_transform_diagonal, weight_u
 from .predict import profile_argument
 
 
-class ScaledTable(NamedTuple):
-    """Scaled d rows: rows[i] holds row i over its admissible columns
-    j = i % k, i % k + k, ..., for the requested rows (plus the final one);
-    the true row is rows[i] * 2**scale_log2[i], kept for every i."""
-
-    scale_log2: list[int]
-    rows: dict[int, np.ndarray]
-
-
 _ROW_CEILING = 20000
 
 
-def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
+def _scaled_rows(k: int, i_max: int):
+    """Yield (row, scale_log2) for rows 0..i_max: row i over its admissible
+    columns j = i % k, i % k + k, ..., the true row being row * 2**scale_log2."""
     _check_size(k, i_max)
     if i_max > _ROW_CEILING:
         raise ValueError(f"too-large: {i_max} rows exceed the ceiling {_ROW_CEILING}")
-    keep = set(int(r) for r in keep_rows)
-    keep.add(i_max)
-    scale_log2 = [0]
-    rows: dict[int, np.ndarray] = {}
     cur = np.array([1.0])
-    if 0 in keep:
-        rows[0] = cur.copy()
+    scale_log2 = 0
+    yield cur, scale_log2
     for i in range(1, i_max + 1):
         r = i % k
-        size = i // k + 1
-        js = np.arange(size) * k + r
+        js = np.arange(i // k + 1) * k + r
         u = weight_u(k, i, js)
         p1, p2 = _parent_rows(cur, r, 0.0, np.append)
         cur = u * p1 + p2
@@ -60,10 +47,15 @@ def build_scaled_table(k: int, i_max: int, keep_rows=()) -> ScaledTable:
             raise AssertionError(f"row {i} collapsed to zero")
         e = math.frexp(mx)[1]
         cur = cur * math.ldexp(1.0, -e)
-        scale_log2.append(scale_log2[-1] + e)
-        if i in keep:
-            rows[i] = cur.copy()
-    return ScaledTable(scale_log2, rows)
+        scale_log2 += e
+        yield cur, scale_log2
+
+
+def build_scaled_table(k: int, i_max: int) -> tuple[np.ndarray, int]:
+    """(row, scale_log2) for row i_max, after computing every row before it."""
+    for last in _scaled_rows(k, i_max):
+        pass
+    return last
 
 
 def profile_check(k: int, i: int, j_limit: int | None = None) -> list[tuple]:
@@ -79,7 +71,7 @@ def profile_check(k: int, i: int, j_limit: int | None = None) -> list[tuple]:
         raise ValueError(f"out-of-range: profile needs i >= 100, got {i}")
     if j_limit is None:
         j_limit = int(float(i) ** (2.0 / 3.0 - 0.1))
-    values = build_scaled_table(k, i).rows[i]
+    values, _ = build_scaled_table(k, i)
     js = np.arange(i // k + 1) * k + i % k
     sel = js <= j_limit
     if not bool(np.any(sel)):

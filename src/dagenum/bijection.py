@@ -29,5 +29,5 @@ def tree_to_path(t: RelaxedTree) -> DecoratedPath:
 def path_to_tree(p: DecoratedPath) -> RelaxedTree:
     report, nodes = paths._walk(p)
     if not report.ok:
-        raise ValueError(f"invalid-path: {report.code} at step {report.index}")
+        raise ValueError(f"invalid-path: {report.describe()}")
     return RelaxedTree(p.k, tuple(nodes))

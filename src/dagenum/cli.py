@@ -326,7 +326,7 @@ def cmd_convert(args) -> int:
             f"invalid tree: {v.code} at {list(v.labels)}" for v in trees.validate_tree(t)
         ]),
         "path-to-tree": (paths.loads, path_to_tree, trees.dumps, lambda p: [
-            "invalid path: {0.code} at step {0.index}".format(paths.validate_path(p))
+            f"invalid path: {paths.validate_path(p).describe()}"
         ]),
     }[args.direction]
     source = loads(sys.stdin.read() if args.input == "-" else Path(args.input).read_text())

@@ -34,6 +34,10 @@ class PathReport(NamedTuple):
     index: int | None = None
     code: str | None = None
 
+    def describe(self) -> str:
+        """The code, followed by the step it fails at when it has one."""
+        return self.code if self.index is None else f"{self.code} at step {self.index}"
+
 
 # Edges are immutable, so trees can share them; a cache hit costs a third
 # of building the NamedTuple.

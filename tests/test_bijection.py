@@ -60,6 +60,9 @@ def test_invalid_inputs_rejected():
         path_to_tree(DecoratedPath(2, (None, None)))
     with pytest.raises(ValueError, match="invalid-path: endpoint at step 2"):
         path_to_tree(DecoratedPath(2, (None, 1)))
+    with pytest.raises(ValueError) as err:  # no step to name
+        path_to_tree(DecoratedPath(1, (None,)))
+    assert str(err.value) == "invalid-path: arity-k"
 
 
 def _prefix_maps_or_refuses(p: DecoratedPath) -> None:

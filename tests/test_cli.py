@@ -621,12 +621,14 @@ def test_convert_validates_valid_input_once(capsys, monkeypatch, fixtures_dir):
 
 def test_convert_invalid_path_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    for steps, err in (
-        ([{"type": "U"}, {"type": "U"}], "invalid path: diagonal at step 1\n"),
+    for k, steps, err in (
+        (2, [{"type": "U"}, {"type": "U"}], "invalid path: diagonal at step 1\n"),
         # stops at (1, 0), short of the diagonal point (1, 1)
-        ([{"type": "U"}, {"type": "H", "cross": 1}], "invalid path: endpoint at step 2\n"),
+        (2, [{"type": "U"}, {"type": "H", "cross": 1}], "invalid path: endpoint at step 2\n"),
+        # the arity refusal has no step to name
+        (1, [{"type": "U"}], "invalid path: arity-k\n"),
     ):
-        bad.write_text(json.dumps({"k": 2, "steps": steps}))
+        bad.write_text(json.dumps({"k": k, "steps": steps}))
         argv = ["convert", "--direction", "path-to-tree", "--input", str(bad)]
         assert run(capsys, argv) == (2, "", err)
 

@@ -16,7 +16,7 @@ import pytest
 import dagenum
 from dagenum.asym.bounds import min_eta, s_factor, verify_bounds
 from dagenum.asym.exact import exact_transform_diagonal, p_ratio_check
-from dagenum.asym.predict import predictor_log
+from dagenum.asym.predict import predictor_log, ratio_diagnostic
 from dagenum.asym.scaled import build_scaled_table, profile_check
 from dagenum.cli import cmd_verify
 from dagenum.oracle import enumerate_relaxed
@@ -190,6 +190,8 @@ _GUARDED = {
     "verify_bounds": (lambda k, n: verify_bounds("upper", k, 1.0, 0.1, (2, 3)), False),
     "s_factor": (lambda k, n: s_factor("upper", k, 5), False),
     "predictor_log": (lambda k, n: predictor_log(k, 5), False),
+    # the scaled route, so the row generator's own _check_size refuses
+    "ratio_diagnostic": (lambda k, n: ratio_diagnostic("relaxed", k, [5], route="scaled"), False),
     "cmd_verify": (_verify, True),
 }
 # The arity is refused before the size is read, so the arity cases pass

@@ -60,9 +60,12 @@ def test_ratio_route_selection():
 
 
 def test_ratio_routes_agree_on_overlap():
-    for k in (2, 3):
-        exact = ratio_diagnostic("relaxed", k, [40, 80], route="exact")
-        scaled = ratio_diagnostic("relaxed", k, [40, 80], route="scaled")
+    # k = 2 on [40, 700, 1000]: one scaled pass keeps three rows, two of
+    # them above the auto route's cut-off
+    for k, ns in ((2, [40, 80]), (3, [40, 80]), (2, [40, 700, 1000])):
+        exact = ratio_diagnostic("relaxed", k, ns, route="exact")
+        scaled = ratio_diagnostic("relaxed", k, ns, route="scaled")
+        assert [pt.n for pt in exact] == [pt.n for pt in scaled] == ns
         for e, s in zip(exact, scaled):
             assert s.route == "scaled"
             assert abs(e.log_ratio - s.log_ratio) < 1e-9
@@ -75,6 +78,9 @@ def test_ratio_guards():
         ratio_diagnostic("compacted", 2, [10], route="scaled")
     with pytest.raises(ValueError, match="out-of-range"):
         ratio_diagnostic("relaxed", 2, [0])
+    with pytest.raises(ValueError) as err:
+        ratio_diagnostic("relaxed", 2, [10001])
+    assert str(err.value) == "too-large: 20002 rows exceed the ceiling 20000"
     assert ratio_diagnostic("relaxed", 2, []) == []
 
 

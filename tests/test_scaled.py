@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dagenum.asym.exact import exact_transform_diagonal, weight_u
-from dagenum.asym.scaled import build_scaled_table, profile_check
+from dagenum.asym.scaled import _scaled_rows, build_scaled_table, profile_check
 from dagenum.tables import diagonal_sequence
 from exact_reference import exact_rows, weight_u_exact
 
@@ -39,27 +39,26 @@ def test_exact_transform_guards():
 
 def test_scaled_rows_track_exact_rows():
     k, i_max = 3, 15
-    table = build_scaled_table(k, i_max, keep_rows=range(i_max + 1))
     exact = exact_rows(k, i_max)
-    for i in range(i_max + 1):
-        row = table.rows[i] * math.ldexp(1.0, table.scale_log2[i])
-        want = np.array([float(v) for v in exact[i]])
-        assert np.allclose(row, want, rtol=1e-12, atol=0.0)
+    rows = list(_scaled_rows(k, i_max))
+    assert len(rows) == i_max + 1
+    for (row, scale_log2), want in zip(rows, exact):
+        want = np.array([float(v) for v in want])
+        assert np.allclose(row * math.ldexp(1.0, scale_log2), want, rtol=1e-12, atol=0.0)
 
 
-def test_d_log_and_trace():
+def test_d_log():
     k = 2
-    table = build_scaled_table(k, 12, keep_rows=[12])
+    row, scale_log2 = build_scaled_table(k, 12)
     exact = exact_rows(k, 12)
     # ln d[12][0], grouped as ratio_diagnostic's scaled route adds it
-    d_log = math.log(table.rows[12][0]) + table.scale_log2[12] * math.log(2.0)
+    d_log = math.log(row[0]) + scale_log2 * math.log(2.0)
     assert d_log == pytest.approx(math.log(float(exact[12][0])), rel=1e-12)
-    assert sorted(table.rows) == [12]  # only the requested rows are kept
 
 
 def test_columns_layout():
-    table = build_scaled_table(3, 8, keep_rows=[7, 8])
-    assert table.rows[7].shape == table.rows[8].shape == (3,)
+    rows = [row for row, _ in _scaled_rows(3, 8)]
+    assert rows[7].shape == rows[8].shape == (3,)
     # row 120 holds the columns j = 0, 3, 6, ...; the fit keeps j <= 120^(2/3 - 0.1)
     assert [j for _, j, _, _ in profile_check(3, 120)] == [0, 3, 6, 9, 12, 15]
 

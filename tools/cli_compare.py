@@ -44,6 +44,8 @@ _PATH_ENDPOINT = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1}]}
 _PATH_FLOAT_CROSS = {"k": 2, "steps": [{"type": "U"}, {"type": "H", "cross": 1.9}, {"type": "U"}]}
 # a U step that carries a cross: refused, not dropped
 _PATH_U_CROSS = {"k": 2, "steps": [{"type": "U", "cross": 5}]}
+# a path of arity 1: refused before any step is read
+_PATH_ARITY = {"k": 1, "steps": [{"type": "U"}]}
 _TREE_STRING_TARGET = {
     "k": 2, "sink": 1,
     "nodes": [{"label": 2, "children": [{"type": "spine", "target": "1"}, {"type": "pointer", "target": 1}]}],
@@ -67,6 +69,7 @@ def inputs() -> dict[str, str | bytes]:
         "bad-tree-string-target.json": json.dumps(_TREE_STRING_TARGET),
         "bad-tree-bool-sink.json": json.dumps(_TREE_BOOL_SINK),
         "bad-path-u-cross.json": json.dumps(_PATH_U_CROSS),
+        "bad-path-arity.json": json.dumps(_PATH_ARITY),
         "garbage.json": "not json {",
         # nested past the JSON parser's depth limit
         "deep-tree.json": '{"k": 2, "sink": 1, "nodes": ' + "[" * 3000 + "]" * 3000 + "}",
@@ -158,7 +161,7 @@ def commands() -> list[list[str]]:
         ("path-to-tree", "path.json", ("bad-path-diagonal.json", "bad-path-cross.json",
                                        "bad-path-cross-0.json", "bad-path-cross-neg.json",
                                        "bad-path-endpoint.json", "bad-path-float-cross.json",
-                                       "bad-path-u-cross.json")),
+                                       "bad-path-u-cross.json", "bad-path-arity.json")),
     ):
         cmds.append(["convert", "--direction", direction, "--input", good])
         cmds.append(["convert", "--direction", direction, "--input", good, "--output", f"out-{good}"])
@@ -177,6 +180,11 @@ def commands() -> list[list[str]]:
     for k in ("2", "5"):  # rows reaching x > 30 and the Airy zero cut-off at 115
         cmds.append(["asym", "bounds", "--side", "upper", "--k", k, "--i-min", "9800", "--i-max", "10000"])
     cmds.append(["asym", "ratio", "--k", "2", "--ns", "700"])  # auto switches to the scaled table
+    cmds.append(["asym", "ratio", "--k", "2", "--ns", "64,700,1000"])  # both routes in one call
+    # several rows kept from one scaled pass
+    cmds.append(["asym", "ratio", "--k", "3", "--ns", "40,80,120", "--route", "scaled"])
+    cmds.append(["asym", "ratio", "--k", "2", "--ns", "10001"])  # the row ceiling
+    cmds.append(["asym", "ratio", "--kind", "dfa", "--k", "2", "--ns", "700"])  # kind on the auto route
     cmds.append(["asym", "profile", "--k", "2", "--i", "60"])
     cmds.append(["asym", "profile", "--k", "3", "--i", "40", "--j-limit", "5"])
     cmds.append(["asym", "profile", "--k", "2", "--i", "150"])
